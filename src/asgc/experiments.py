@@ -17,10 +17,11 @@ same 80% of labels before testing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .data import LabeledDataset, SplitSpec, make_splits
 from .filters import ComboWeights, asgc_filter, blend, sgc_filter, simplex_grid
@@ -28,6 +29,7 @@ from .numeric import LogisticConfig, LogisticModel, accuracy, fit_logistic, pred
 from .parallel import parallel_map
 
 METHODS = ("raw", "sgc", "sgc1", "asgc", "combo")
+K_FREE_METHODS = ("raw", "sgc1")  # their features, and so their results, ignore k_hops
 
 
 @dataclass(frozen=True)
@@ -49,9 +51,11 @@ class FilteredFeatures:
 
     Filtering is unsupervised, so matrices depend only on (dataset, k) and can
     safely be reused across trials. Any missing entry is computed on demand.
+    ``raw`` is a scipy CSR matrix when the bundle serves the ``raw`` method,
+    so the classifier's cost follows the nonzeros.
     """
 
-    raw: np.ndarray | None = None
+    raw: np.ndarray | sp.csr_matrix | None = None
     sgc: np.ndarray | None = None
     asgc: np.ndarray | None = None
     sgc1: np.ndarray | None = None
@@ -63,10 +67,10 @@ def _method_matrix(
     k_hops: int,
     features: FilteredFeatures | None,
     rank_tol: float,
-) -> np.ndarray:
+) -> np.ndarray | sp.csr_matrix:
     ff = features or FilteredFeatures()
     if method == "raw":
-        return ds.features if ff.raw is None else ff.raw
+        return sp.csr_matrix(ds.features) if ff.raw is None else ff.raw
     if method == "sgc":
         return sgc_filter(ds.graph, ds.features, k_hops) if ff.sgc is None else ff.sgc
     if method == "sgc1":
@@ -92,7 +96,7 @@ def run_method(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "combo":
-        x_raw = _method_matrix(ds, "raw", k_hops, features, rank_tol)
+        x_raw = ds.features
         x_sgc = _method_matrix(ds, "sgc", k_hops, features, rank_tol)
         x_asgc = _method_matrix(ds, "asgc", k_hops, features, rank_tol)
         _, _, trial = combo_search(
@@ -193,7 +197,7 @@ def _bundle(ds, methods, k_hops, rank_tol) -> FilteredFeatures:
     need_sgc = bool(need & {"sgc", "combo"})
     need_asgc = bool(need & {"asgc", "combo"})
     return FilteredFeatures(
-        raw=ds.features,
+        raw=sp.csr_matrix(ds.features) if "raw" in need else ds.features,
         sgc=sgc_filter(ds.graph, ds.features, k_hops) if need_sgc else None,
         asgc=asgc_filter(ds.graph, ds.features, k_hops, rank_tol).filtered if need_asgc else None,
         sgc1=sgc_filter(ds.graph, ds.features, 1) if "sgc1" in need else None,
@@ -214,6 +218,8 @@ def k_sweep(
 
     For a fixed (k, trial) every method sees the identical split, so method
     comparisons are paired. Filter matrices are computed once per hop count.
+    The k-independent methods (:data:`K_FREE_METHODS`) are trained once per
+    trial, and that result is repeated under every hop count.
     """
     methods = list(methods)
     k_values = list(k_values)
@@ -223,14 +229,23 @@ def k_sweep(
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
     splits = [make_splits(ds.n, split_seed(seed, t)) for t in range(trials)]
+
+    def run(split, m, k, ff):
+        return run_method(ds, split, m, k, resolution, classifier, ff, rank_tol)
+
+    k_free: dict[tuple[int, str], TrialResult] = {}
     results = []
-    for k in k_values:
-        ff = _bundle(ds, methods, k, rank_tol)
-        for split in splits:
+    for i, k in enumerate(k_values):
+        need = methods if i == 0 else [m for m in methods if m not in K_FREE_METHODS]
+        ff = _bundle(ds, need, k, rank_tol)
+        for t, split in enumerate(splits):
             for m in methods:
-                results.append(
-                    run_method(ds, split, m, k, resolution, classifier, ff, rank_tol)
-                )
+                if m in K_FREE_METHODS:
+                    if (t, m) not in k_free:
+                        k_free[t, m] = run(split, m, k, ff)
+                    results.append(replace(k_free[t, m], k_hops=k))
+                else:
+                    results.append(run(split, m, k, ff))
     return results
 
 

@@ -3,15 +3,20 @@
 These are the two generic numerical engines behind the adaptive filter and the
 classification experiments. Both are deterministic: the least-squares routine
 is a direct SVD-backed solve, and the classifier always starts from zero
-parameters and uses a full-batch quasi-Newton optimizer.
+parameters and uses a full-batch quasi-Newton optimizer. Classifier features
+may be a dense array or a scipy CSR matrix; a sparse matrix stays sparse, so
+training and scoring cost scales with its nonzeros. A fit that stops before
+the optimizer reports convergence emits a ``RuntimeWarning``.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse
 from scipy.special import logsumexp
 
 
@@ -80,6 +85,13 @@ class LogisticModel:
     classes: np.ndarray
 
 
+def _as_features(x):
+    """Float64 features: a sparse input becomes CSR, anything else a dense array."""
+    if scipy.sparse.issparse(x):
+        return scipy.sparse.csr_matrix(x, dtype=np.float64)
+    return np.asarray(x, dtype=np.float64)
+
+
 def softmax_objective(params, x, y_index, n_classes, l2_strength):
     """Mean cross-entropy plus 0.5 * l2 * ||W||^2; returns (loss, gradient).
 
@@ -104,18 +116,22 @@ def fit_logistic(x, y, config: LogisticConfig | None = None) -> LogisticModel:
     """Train a multinomial softmax classifier by full-batch L-BFGS.
 
     Args:
-        x: n x f feature matrix (finite values).
+        x: n x f feature matrix (finite values), dense or scipy sparse; a
+            sparse matrix is trained on in CSR form without densifying.
         y: length-n integer labels with at least two distinct values.
         config: optional :class:`LogisticConfig`.
 
     The optimizer starts from zero parameters, so results are deterministic.
+    If it stops without converging (for instance at ``config.max_iter``), a
+    ``RuntimeWarning`` carrying the optimizer's message is emitted and the
+    last iterate is returned.
     """
     config = config or LogisticConfig()
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_features(x)
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError("x must be n x f with one label per row")
-    if not np.isfinite(x).all():
+    if not np.isfinite(x.data if scipy.sparse.issparse(x) else x).all():
         raise ValueError("fit_logistic requires finite features")
     classes, y_index = np.unique(y, return_inverse=True)
     if len(classes) < 2:
@@ -130,13 +146,20 @@ def fit_logistic(x, y, config: LogisticConfig | None = None) -> LogisticModel:
         method="L-BFGS-B",
         options={"maxiter": config.max_iter, "gtol": config.tol, "ftol": 1e-15},
     )
+    if not result.success:
+        warnings.warn(
+            f"fit_logistic did not converge after {result.nit} iterations: {result.message}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     weights = result.x[: f * n_classes].reshape(f, n_classes)
     bias = result.x[f * n_classes :]
     return LogisticModel(weights=weights, bias=bias, classes=classes)
 
 
 def decision_scores(model: LogisticModel, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    """Linear scores ``x @ W + b`` for a dense or sparse feature matrix."""
+    x = _as_features(x)
     if x.ndim != 2 or x.shape[1] != model.weights.shape[0]:
         raise ValueError(
             f"feature width {x.shape[1] if x.ndim == 2 else '?'} does not match model "

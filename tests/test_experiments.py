@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import asgc.experiments as experiments
 from asgc import (
@@ -112,6 +113,43 @@ def test_k_sweep_cardinality_and_pairing():
         by_kt.setdefault((r.k_hops, r.seed), []).append(r.method)
     for methods in by_kt.values():
         assert sorted(methods) == ["raw", "sgc1"]
+
+
+def test_k_sweep_fits_k_free_methods_once_per_trial(monkeypatch):
+    ds = toy_dataset(n_per_block=30)
+    calls = []
+    real = experiments.fit_logistic
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "fit_logistic", counting)
+    results = k_sweep(ds, ["raw", "sgc1", "asgc"], k_values=[1, 2, 3], trials=2, seed=0)
+    assert len(results) == 3 * 2 * 3
+    assert len(calls) == 2 + 2 + 3 * 2  # raw and sgc1 once per trial, asgc per (k, trial)
+    for method in ("raw", "sgc1"):
+        for seed in {r.seed for r in results}:
+            same = [r for r in results if r.method == method and r.seed == seed]
+            assert sorted(r.k_hops for r in same) == [1, 2, 3]
+            assert len({r.test_accuracy for r in same}) == 1
+
+
+def test_k_sweep_repeats_the_per_k_result_of_k_free_methods():
+    ds = toy_dataset(n_per_block=30)
+    split = make_splits(ds.n, experiments.split_seed(0, 0))
+    results = k_sweep(ds, ["sgc1"], k_values=[4, 5], trials=1, seed=0)
+    assert [r.k_hops for r in results] == [4, 5]
+    for r in results:
+        assert r == run_method(ds, split, "sgc1", k_hops=r.k_hops)
+
+
+def test_raw_bundle_is_csr_of_the_features():
+    ds = toy_dataset(n_per_block=20)
+    raw = experiments._bundle(ds, ["raw"], 2, 1e-10).raw
+    assert isinstance(raw, sp.csr_matrix)
+    assert np.array_equal(raw.toarray(), ds.features)
+    assert experiments._bundle(ds, ["combo"], 2, 1e-10).raw is ds.features
 
 
 def test_k_sweep_rejects_empty_inputs():

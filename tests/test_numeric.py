@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from asgc import (
     LogisticConfig,
@@ -9,7 +12,7 @@ from asgc import (
     predict,
     predict_proba,
 )
-from asgc.numeric import LogisticModel, softmax_objective
+from asgc.numeric import LogisticModel, decision_scores, softmax_objective
 from conftest import svd_least_squares
 
 
@@ -183,3 +186,31 @@ def test_config_knob_changes_regularization():
     strong = fit_logistic(x, y, LogisticConfig(l2_strength=10.0))
     weak = fit_logistic(x, y, LogisticConfig(l2_strength=1e-6))
     assert np.linalg.norm(strong.weights) < np.linalg.norm(weak.weights)
+
+
+def test_unconverged_fit_warns_with_optimizer_message():
+    rng = np.random.default_rng(10)
+    x, y = two_blobs(rng, n_per=20, spread=2.0)
+    with pytest.warns(RuntimeWarning, match="(?i)did not converge.*iterations reached limit"):
+        fit_logistic(x, y, LogisticConfig(max_iter=1))
+
+
+def test_converged_fits_do_not_warn():
+    rng = np.random.default_rng(11)
+    x, y = two_blobs(rng, n_per=20, spread=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit_logistic(x, y)
+        fit_logistic(sp.csr_matrix(x), y)
+
+
+def test_scores_accept_sparse_features():
+    rng = np.random.default_rng(12)
+    model = LogisticModel(
+        weights=rng.standard_normal((4, 3)), bias=rng.standard_normal(3), classes=np.arange(3)
+    )
+    x = rng.standard_normal((6, 4)) * (rng.random((6, 4)) < 0.4)
+    np.testing.assert_allclose(decision_scores(model, sp.csr_matrix(x)), decision_scores(model, x))
+    np.testing.assert_array_equal(predict(model, sp.coo_matrix(x)), predict(model, x))
+    with pytest.raises(ValueError, match="feature width"):
+        decision_scores(model, sp.csr_matrix(np.ones((2, 5))))
