@@ -21,7 +21,6 @@ from .data import (
 from .experiments import (
     METHODS,
     AggregateReport,
-    FilteredFeatures,
     TrialResult,
     aggregate,
     classification_trials,
@@ -33,7 +32,6 @@ from .experiments import (
 from .filters import (
     AsgcResult,
     ComboWeights,
-    SgcConfig,
     asgc_filter,
     blend,
     sgc_filter,
@@ -77,7 +75,6 @@ __all__ = [
     "ComboWeights",
     "DatasetError",
     "DenoiseReport",
-    "FilteredFeatures",
     "Graph",
     "GraphError",
     "LabeledDataset",
@@ -89,7 +86,6 @@ __all__ = [
     "MethodDenoise",
     "PropagationOperator",
     "SbmConfig",
-    "SgcConfig",
     "SplitSpec",
     "TrialResult",
     "accuracy",

@@ -28,12 +28,11 @@ from .experiments import (
     aggregate,
     classification_trials,
     k_sweep,
-    split_seed,
 )
 from .filters import asgc_filter, sgc_filter
 from .graph import GraphError
 from .numeric import LogisticConfig
-from .synthetic import run_sweep
+from .synthetic import METHODS as SYNTH_METHODS, run_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -155,15 +154,15 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     rows = []
     for report in reports:
-        for method in ("raw", "sgc", "asgc"):
-            rows.append((report.log_ratio, method, "rms_deviation", report.rms_deviation(method)))
-            rows.append((report.log_ratio, method, "sign_error", report.sign_error(method)))
+        for method in SYNTH_METHODS:
+            rows.append((report.log_ratio, method, "rms_deviation", report.rms_deviation[method]))
+            rows.append((report.log_ratio, method, "sign_error", report.sign_error[method]))
     csv_path = out / "synth.csv"
     write_csv(csv_path, ("log_ratio", "method", "metric", "value"), rows)
     for metric in ("rms_deviation", "sign_error"):
         series = [
-            (method, [(r.log_ratio, getattr(r, f"{metric}_{method}")) for r in reports])
-            for method in ("raw", "sgc", "asgc")
+            (method, [(r.log_ratio, getattr(r, metric)[method]) for r in reports])
+            for method in SYNTH_METHODS
         ]
         svg_line_chart(
             out / f"synth_{metric}.svg",
@@ -226,14 +225,14 @@ def cmd_classify(args) -> int:
         jobs=args.jobs,
     )
     rows = []
-    for t, trial in enumerate(results):
+    for trial in results:
         w = _weight_fields(trial)
         rows.append(
             (
                 trial.dataset,
                 trial.method,
                 trial.k_hops,
-                t,
+                trial.trial,
                 trial.seed,
                 trial.test_accuracy,
                 "" if trial.validation_accuracy is None else trial.validation_accuracy,
@@ -272,7 +271,6 @@ def cmd_sweep(args) -> int:
         resolution=args.resolution,
         classifier=LogisticConfig(),
     )
-    seed_to_trial = {split_seed(args.seed, t): t for t in range(args.trials)}
     rows = []
     for trial in results:
         w = _weight_fields(trial)
@@ -281,7 +279,7 @@ def cmd_sweep(args) -> int:
                 trial.dataset,
                 trial.method,
                 trial.k_hops,
-                seed_to_trial[trial.seed],
+                trial.trial,
                 trial.seed,
                 trial.test_accuracy,
                 *w,

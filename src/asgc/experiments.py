@@ -34,7 +34,7 @@ K_FREE_METHODS = ("raw", "sgc1")  # their features, and so their results, ignore
 
 @dataclass(frozen=True)
 class TrialResult:
-    """One (dataset, method, split) outcome."""
+    """One (dataset, method, split) outcome; ``trial`` is the split's index."""
 
     dataset: str
     method: str
@@ -43,43 +43,37 @@ class TrialResult:
     test_accuracy: float
     validation_accuracy: float | None = None
     chosen_weights: ComboWeights | None = None
+    trial: int = 0
 
 
-@dataclass(frozen=True, eq=False)
-class FilteredFeatures:
-    """Optional precomputed feature matrices, shared across methods and splits.
-
-    Filtering is unsupervised, so matrices depend only on (dataset, k) and can
-    safely be reused across trials. Any missing entry is computed on demand.
-    ``raw`` is a scipy CSR matrix when the bundle serves the ``raw`` method,
-    so the classifier's cost follows the nonzeros.
-    """
-
-    raw: np.ndarray | sp.csr_matrix | None = None
-    sgc: np.ndarray | None = None
-    asgc: np.ndarray | None = None
-    sgc1: np.ndarray | None = None
-
-
-def _method_matrix(
-    ds: LabeledDataset,
-    method: str,
-    k_hops: int,
-    features: FilteredFeatures | None,
-    rank_tol: float,
+def method_features(
+    ds: LabeledDataset, method: str, k_hops: int, rank_tol: float = 1e-10
 ) -> np.ndarray | sp.csr_matrix:
-    ff = features or FilteredFeatures()
+    """The feature matrix a non-combo method trains on at hop count ``k_hops``.
+
+    ``raw`` is a scipy CSR matrix, so the classifier's cost follows the
+    nonzeros. ``combo`` blends the dense ``ds.features`` with the ``sgc`` and
+    ``asgc`` matrices and has no matrix of its own.
+    """
     if method == "raw":
-        return sp.csr_matrix(ds.features) if ff.raw is None else ff.raw
+        return sp.csr_matrix(ds.features)
     if method == "sgc":
-        return sgc_filter(ds.graph, ds.features, k_hops) if ff.sgc is None else ff.sgc
+        return sgc_filter(ds.graph, ds.features, k_hops)
     if method == "sgc1":
-        return sgc_filter(ds.graph, ds.features, 1) if ff.sgc1 is None else ff.sgc1
+        return sgc_filter(ds.graph, ds.features, 1)
     if method == "asgc":
-        if ff.asgc is None:
-            return asgc_filter(ds.graph, ds.features, k_hops, rank_tol).filtered
-        return ff.asgc
+        return asgc_filter(ds.graph, ds.features, k_hops, rank_tol).filtered
     raise ValueError(f"unknown method {method!r}")
+
+
+def _features(ds, methods, k_hops, rank_tol) -> dict[str, np.ndarray | sp.csr_matrix]:
+    """Every matrix the given methods train on at one hop count, each built once.
+
+    Filtering is unsupervised, so the matrices depend only on (dataset, k) and
+    are shared across methods and splits.
+    """
+    need = {n for m in methods for n in (("sgc", "asgc") if m == "combo" else (m,))}
+    return {m: method_features(ds, m, k_hops, rank_tol) for m in METHODS if m in need}
 
 
 def run_method(
@@ -89,22 +83,25 @@ def run_method(
     k_hops: int = 6,
     resolution: int = 3,
     classifier: LogisticConfig | None = None,
-    features: FilteredFeatures | None = None,
+    features: Mapping[str, np.ndarray | sp.csr_matrix] | None = None,
     rank_tol: float = 1e-10,
 ) -> TrialResult:
-    """Train one method on one split and score it on the test nodes."""
+    """Train one method on one split and score it on the test nodes.
+
+    ``features`` maps each method name to its matrix at ``k_hops`` (see
+    :func:`method_features`); when omitted, the matrices are computed here.
+    """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if features is None:
+        features = _features(ds, [method], k_hops, rank_tol)
     if method == "combo":
-        x_raw = ds.features
-        x_sgc = _method_matrix(ds, "sgc", k_hops, features, rank_tol)
-        x_asgc = _method_matrix(ds, "asgc", k_hops, features, rank_tol)
         _, _, trial = combo_search(
-            ds, split, x_raw, x_sgc, x_asgc, resolution=resolution,
-            classifier=classifier, k_hops=k_hops,
+            ds, split, ds.features, features["sgc"], features["asgc"],
+            resolution=resolution, classifier=classifier, k_hops=k_hops,
         )
         return trial
-    x = _method_matrix(ds, method, k_hops, features, rank_tol)
+    x = features[method]
     fit_idx = np.concatenate([split.train, split.validation])
     model = fit_logistic(x[fit_idx], ds.labels[fit_idx], classifier)
     test_accuracy = accuracy(predict(model, x[split.test]), ds.labels[split.test])
@@ -183,25 +180,16 @@ def classification_trials(
     Splits derive from (seed, trial index), so results do not depend on how
     the trials are scheduled when ``jobs > 1``.
     """
-    ff = _bundle(ds, [method], k_hops, rank_tol)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    features = _features(ds, [method], k_hops, rank_tol)
 
     def one(t: int) -> TrialResult:
         split = make_splits(ds.n, split_seed(seed, t))
-        return run_method(ds, split, method, k_hops, resolution, classifier, ff, rank_tol)
+        result = run_method(ds, split, method, k_hops, resolution, classifier, features, rank_tol)
+        return replace(result, trial=t)
 
     return parallel_map(one, range(trials), jobs)
-
-
-def _bundle(ds, methods, k_hops, rank_tol) -> FilteredFeatures:
-    need = set(methods)
-    need_sgc = bool(need & {"sgc", "combo"})
-    need_asgc = bool(need & {"asgc", "combo"})
-    return FilteredFeatures(
-        raw=sp.csr_matrix(ds.features) if "raw" in need else ds.features,
-        sgc=sgc_filter(ds.graph, ds.features, k_hops) if need_sgc else None,
-        asgc=asgc_filter(ds.graph, ds.features, k_hops, rank_tol).filtered if need_asgc else None,
-        sgc1=sgc_filter(ds.graph, ds.features, 1) if "sgc1" in need else None,
-    )
 
 
 def k_sweep(
@@ -225,27 +213,32 @@ def k_sweep(
     k_values = list(k_values)
     if not methods or not k_values:
         raise ValueError("methods and k_values must be nonempty")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
+    if len(set(methods)) != len(methods):
+        raise ValueError(f"methods must not repeat: {methods}")
     splits = [make_splits(ds.n, split_seed(seed, t)) for t in range(trials)]
 
-    def run(split, m, k, ff):
-        return run_method(ds, split, m, k, resolution, classifier, ff, rank_tol)
+    def run(t, m, k, features):
+        result = run_method(ds, splits[t], m, k, resolution, classifier, features, rank_tol)
+        return replace(result, trial=t)
 
     k_free: dict[tuple[int, str], TrialResult] = {}
     results = []
     for i, k in enumerate(k_values):
         need = methods if i == 0 else [m for m in methods if m not in K_FREE_METHODS]
-        ff = _bundle(ds, need, k, rank_tol)
-        for t, split in enumerate(splits):
+        features = _features(ds, need, k, rank_tol)
+        for t in range(trials):
             for m in methods:
                 if m in K_FREE_METHODS:
                     if (t, m) not in k_free:
-                        k_free[t, m] = run(split, m, k, ff)
+                        k_free[t, m] = run(t, m, k, features)
                     results.append(replace(k_free[t, m], k_hops=k))
                 else:
-                    results.append(run(split, m, k, ff))
+                    results.append(run(t, m, k, features))
     return results
 
 

@@ -18,17 +18,6 @@ from .graph import Graph, GraphError, normalized_adjacency, propagate
 from .numeric import least_squares
 
 
-@dataclass(frozen=True)
-class SgcConfig:
-    """Hop count for the fixed smoothing filter."""
-
-    k_hops: int = 6
-
-    def __post_init__(self):
-        if self.k_hops < 1:
-            raise ValueError("k_hops must be >= 1")
-
-
 def sgc_filter(g: Graph, x, k_hops: int = 6) -> np.ndarray:
     """Apply the self-loop propagation operator ``k_hops`` times.
 

@@ -111,21 +111,11 @@ def denoise_trial(cfg: SbmConfig, k_hops: int = 2, rank_tol: float = 1e-10) -> d
 
 @dataclass(frozen=True)
 class DenoiseReport:
-    """Trial-averaged metrics at one log-ratio grid point."""
+    """Trial-averaged metrics at one log-ratio grid point, keyed by method."""
 
     log_ratio: float
-    rms_deviation_raw: float
-    rms_deviation_sgc: float
-    rms_deviation_asgc: float
-    sign_error_raw: float
-    sign_error_sgc: float
-    sign_error_asgc: float
-
-    def rms_deviation(self, method: str) -> float:
-        return getattr(self, f"rms_deviation_{method}")
-
-    def sign_error(self, method: str) -> float:
-        return getattr(self, f"sign_error_{method}")
+    rms_deviation: dict[str, float]
+    sign_error: dict[str, float]
 
 
 def trial_seed(seed: int, grid_index: int, trial_index: int) -> int:
@@ -172,20 +162,10 @@ def run_sweep(
     outcomes = parallel_map(one, items, jobs)
     reports = []
     for gi, rho in enumerate(log_ratios):
-        per_method = {m: [] for m in METHODS}
-        for ti in range(trials):
-            outcome = outcomes[gi * trials + ti]
-            for m in METHODS:
-                per_method[m].append(outcome[m])
-        reports.append(
-            DenoiseReport(
-                log_ratio=float(rho),
-                rms_deviation_raw=float(np.mean([o.rms_deviation for o in per_method["raw"]])),
-                rms_deviation_sgc=float(np.mean([o.rms_deviation for o in per_method["sgc"]])),
-                rms_deviation_asgc=float(np.mean([o.rms_deviation for o in per_method["asgc"]])),
-                sign_error_raw=float(np.mean([o.sign_error for o in per_method["raw"]])),
-                sign_error_sgc=float(np.mean([o.sign_error for o in per_method["sgc"]])),
-                sign_error_asgc=float(np.mean([o.sign_error for o in per_method["asgc"]])),
-            )
-        )
+        block = outcomes[gi * trials:(gi + 1) * trials]
+        rms_deviation, sign_error = {}, {}
+        for m in METHODS:
+            rms_deviation[m] = float(np.mean([o[m].rms_deviation for o in block]))
+            sign_error[m] = float(np.mean([o[m].sign_error for o in block]))
+        reports.append(DenoiseReport(float(rho), rms_deviation, sign_error))
     return reports

@@ -46,7 +46,7 @@ from asgc import (
     run_method,
     sgc_filter,
 )
-from asgc.experiments import _bundle
+from asgc.experiments import method_features
 from asgc.numeric import accuracy
 from asgc.synthetic import trial_seed
 from conftest import random_graph, single_edge_graph, svd_least_squares, toy_dataset
@@ -257,11 +257,11 @@ def test_criterion_7_combo_validation_dominance():
     failures = []
     for ds in (toy_dataset(seed=1, log_ratio=2.0, name="homo"),
                toy_dataset(seed=2, log_ratio=-2.0, name="hetero")):
-        ff = _bundle(ds, ["combo"], 3, 1e-10)
+        x_sgc, x_asgc = method_features(ds, "sgc", 3), method_features(ds, "asgc", 3)
         for split_seed_value in (0, 1, 2):
             split = make_splits(ds.n, seed=split_seed_value)
-            _, _, trial = combo_search(ds, split, ff.raw, ff.sgc, ff.asgc, resolution=3, k_hops=3)
-            for corner_name, corner in (("raw", ff.raw), ("sgc", ff.sgc), ("asgc", ff.asgc)):
+            _, _, trial = combo_search(ds, split, ds.features, x_sgc, x_asgc, resolution=3, k_hops=3)
+            for corner_name, corner in (("raw", ds.features), ("sgc", x_sgc), ("asgc", x_asgc)):
                 model = fit_logistic(corner[split.train], ds.labels[split.train])
                 corner_val = accuracy(
                     predict(model, corner[split.validation]), ds.labels[split.validation]

@@ -90,6 +90,16 @@ def test_classify_deterministic(toy_manifest, tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("subcommand", ["classify", "sweep"])
+def test_zero_trials_gives_bad_data_code(toy_manifest, tmp_path, subcommand):
+    out = tmp_path / "out"
+    args = [subcommand, "--manifest", str(toy_manifest), "--dataset", "toy", "--trials", "0"]
+    if subcommand == "classify":
+        args += ["--method", "raw"]
+    assert main(args + ["--out", str(out)]) == 4
+    assert not list(out.glob("*.csv"))
+
+
 def test_filter_writes_feature_matrix(toy_manifest, tmp_path):
     out = tmp_path / "out"
     code = main(

@@ -81,12 +81,12 @@ def test_combo_trains_grid_count_plus_final(monkeypatch):
 
 def test_combo_validation_dominates_corners():
     ds = toy_dataset(seed=8)
-    ff = experiments._bundle(ds, ["combo"], 3, 1e-10)
+    x_sgc, x_asgc = (experiments.method_features(ds, m, 3) for m in ("sgc", "asgc"))
     for seed in (0, 1, 2):
         split = make_splits(ds.n, seed=seed)
-        _, _, trial = combo_search(ds, split, ff.raw, ff.sgc, ff.asgc, resolution=3, k_hops=3)
+        _, _, trial = combo_search(ds, split, ds.features, x_sgc, x_asgc, resolution=3, k_hops=3)
         y = ds.labels
-        for corner in (ff.raw, ff.sgc, ff.asgc):
+        for corner in (ds.features, x_sgc, x_asgc):
             model = fit_logistic(corner[split.train], y[split.train])
             corner_val = accuracy(predict(model, corner[split.validation]), y[split.validation])
             assert trial.validation_accuracy >= corner_val
@@ -97,6 +97,7 @@ def test_classification_trials_deterministic_and_parallel_safe():
     seq = classification_trials(ds, "raw", k_hops=2, trials=3, seed=10)
     par = classification_trials(ds, "raw", k_hops=2, trials=3, seed=10, jobs=3)
     assert seq == par
+    assert [r.trial for r in seq] == [r.trial for r in par] == [0, 1, 2]
     again = classification_trials(ds, "raw", k_hops=2, trials=3, seed=10)
     assert seq == again
 
@@ -113,6 +114,7 @@ def test_k_sweep_cardinality_and_pairing():
         by_kt.setdefault((r.k_hops, r.seed), []).append(r.method)
     for methods in by_kt.values():
         assert sorted(methods) == ["raw", "sgc1"]
+    assert [r.trial for r in results] == [t for _k in (1, 2) for t in (0, 1) for _m in ("raw", "sgc1")]
 
 
 def test_k_sweep_fits_k_free_methods_once_per_trial(monkeypatch):
@@ -144,12 +146,21 @@ def test_k_sweep_repeats_the_per_k_result_of_k_free_methods():
         assert r == run_method(ds, split, "sgc1", k_hops=r.k_hops)
 
 
-def test_raw_bundle_is_csr_of_the_features():
+def test_raw_bundle_is_csr_of_the_features(monkeypatch):
     ds = toy_dataset(n_per_block=20)
-    raw = experiments._bundle(ds, ["raw"], 2, 1e-10).raw
+    raw = experiments.method_features(ds, "raw", 2)
     assert isinstance(raw, sp.csr_matrix)
     assert np.array_equal(raw.toarray(), ds.features)
-    assert experiments._bundle(ds, ["combo"], 2, 1e-10).raw is ds.features
+    seen = []
+    real = experiments.combo_search
+
+    def capturing(ds, split, x_raw, *args, **kwargs):
+        seen.append(x_raw)
+        return real(ds, split, x_raw, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "combo_search", capturing)
+    classification_trials(ds, "combo", k_hops=2, trials=1, resolution=1)
+    assert len(seen) == 1 and seen[0] is ds.features
 
 
 def test_k_sweep_rejects_empty_inputs():
@@ -158,6 +169,8 @@ def test_k_sweep_rejects_empty_inputs():
         k_sweep(ds, [], k_values=[1])
     with pytest.raises(ValueError):
         k_sweep(ds, ["raw"], k_values=[])
+    with pytest.raises(ValueError):
+        k_sweep(ds, ["raw", "raw"], k_values=[1])
     with pytest.raises(ValueError):
         k_sweep(ds, ["bogus"], k_values=[1])
 

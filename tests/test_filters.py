@@ -10,7 +10,6 @@ from asgc import (
     sgc_filter,
     simplex_grid,
 )
-from asgc.filters import SgcConfig
 from conftest import dense_normalized_adjacency, random_graph, single_edge_graph
 
 
@@ -49,8 +48,6 @@ def test_sgc_k1_is_exactly_one_propagation():
 def test_sgc_rejects_bad_hops():
     with pytest.raises(ValueError):
         sgc_filter(single_edge_graph(), np.ones(2), 0)
-    with pytest.raises(ValueError):
-        SgcConfig(k_hops=0)
 
 
 # --- adaptive filter ------------------------------------------------------------

@@ -91,12 +91,12 @@ def test_uninformative_graph_no_filter_beats_raw():
 def test_homophilous_extreme_smoothing_wins_rms():
     reports = run_sweep([5.0], trials=3, k_hops=2, seed=7)
     r = reports[0]
-    assert r.rms_deviation_sgc <= r.rms_deviation_asgc + 0.05
+    assert r.rms_deviation["sgc"] <= r.rms_deviation["asgc"] + 0.05
 
 
 def test_adaptive_filter_rms_symmetric_in_log_ratio():
     reports = run_sweep([-5.0, 5.0], trials=3, k_hops=2, seed=3)
-    lo, hi = reports[0].rms_deviation_asgc, reports[1].rms_deviation_asgc
+    lo, hi = reports[0].rms_deviation["asgc"], reports[1].rms_deviation["asgc"]
     assert abs(lo - hi) <= 0.25 * max(lo, hi)
 
 
