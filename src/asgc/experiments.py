@@ -182,6 +182,8 @@ def classification_trials(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if k_hops < 1:
+        raise ValueError("k_hops must be >= 1")
     features = _features(ds, [method], k_hops, rank_tol)
 
     def one(t: int) -> TrialResult:
@@ -215,6 +217,8 @@ def k_sweep(
         raise ValueError("methods and k_values must be nonempty")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if min(k_values) < 1:
+        raise ValueError("k_hops must be >= 1")
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
@@ -230,6 +234,7 @@ def k_sweep(
     results = []
     for i, k in enumerate(k_values):
         need = methods if i == 0 else [m for m in methods if m not in K_FREE_METHODS]
+        features = None  # free the previous hop count's matrices before building the next
         features = _features(ds, need, k, rank_tol)
         for t in range(trials):
             for m in methods:

@@ -17,6 +17,10 @@ import numpy as np
 from .graph import Graph, GraphError, normalized_adjacency, propagate
 from .numeric import least_squares
 
+# feature columns propagated together by asgc_filter; its basis block holds
+# K * n * ASGC_CHUNK floats (3.5 MB at K=10 on 2,708 nodes)
+ASGC_CHUNK = 16
+
 
 def sgc_filter(g: Graph, x, k_hops: int = 6) -> np.ndarray:
     """Apply the self-loop propagation operator ``k_hops`` times.
@@ -56,6 +60,11 @@ def asgc_filter(g: Graph, x, k_hops: int = 6, rank_tol: float = 1e-10) -> AsgcRe
     reconstruction. An identically-zero feature column yields zero
     coefficients and zero output (the minimum-norm solution of the degenerate
     problem).
+
+    Nonzero columns are propagated :data:`ASGC_CHUNK` at a time, one sparse
+    product per hop; each column of that product equals its own
+    sparse-vector product bit for bit, so the chunk size never changes the
+    output.
     """
     if k_hops < 1:
         raise ValueError("k_hops must be >= 1")
@@ -69,19 +78,23 @@ def asgc_filter(g: Graph, x, k_hops: int = 6, rank_tol: float = 1e-10) -> AsgcRe
     filtered = np.zeros((n, f))
     coefficients = np.zeros((f, k_hops))
     residual_norms = np.zeros(f)
-    for j in range(f):
-        xj = cols[:, j]
-        if not xj.any():
-            continue
-        basis = np.empty((n, k_hops))
-        t = xj
+    live = np.flatnonzero(cols.any(axis=0))
+    for start in range(0, len(live), ASGC_CHUNK):
+        idx = live[start : start + ASGC_CHUNK]
+        t = cols[:, idx]
+        targets = t.T.copy()
+        # bases[c] is column idx[c]'s C-ordered n x K Krylov basis
+        bases = np.empty((len(idx), n, k_hops))
         for k in range(k_hops):
             t = mat @ t
-            basis[:, k] = t
-        sol = least_squares(basis, xj, rank_tol)
-        coefficients[j] = sol.coefficients
-        residual_norms[j] = sol.residual_norm
-        filtered[:, j] = basis @ sol.coefficients
+            bases[:, :, k] = t.T
+        out = np.empty((len(idx), n))
+        for c, j in enumerate(idx):
+            sol = least_squares(bases[c], targets[c], rank_tol)
+            coefficients[j] = sol.coefficients
+            residual_norms[j] = sol.residual_norm
+            out[c] = bases[c] @ sol.coefficients
+        filtered[:, idx] = out.T
     return AsgcResult(
         filtered=filtered[:, 0] if single else filtered,
         coefficients=coefficients,

@@ -7,6 +7,13 @@ parameters and uses a full-batch quasi-Newton optimizer. Classifier features
 may be a dense array or a scipy CSR matrix; a sparse matrix stays sparse, so
 training and scoring cost scales with its nonzeros. A fit that stops before
 the optimizer reports convergence emits a ``RuntimeWarning``.
+
+The objective forms its two dense products as ``(W^T X^T)^T`` and
+``(P^T X)^T``. With OpenBLAS (0.3.31) these give the bits of ``X W`` and
+``X^T P`` on a faster GEMM path; for CSR features scipy computes the same
+products as before. The scores are made C-ordered before the log-sum-exp,
+whose reduction order follows the memory layout, so dense and CSR scores are
+reduced in the same order.
 """
 
 from __future__ import annotations
@@ -101,13 +108,15 @@ def softmax_objective(params, x, y_index, n_classes, l2_strength):
     n, f = x.shape
     w = params[: f * n_classes].reshape(f, n_classes)
     b = params[f * n_classes :]
-    z = x @ w + b
+    # reoriented x @ w and x.T @ p (module docstring); z must be C-ordered,
+    # since logsumexp's reduction order follows the memory layout
+    z = np.ascontiguousarray((w.T @ x.T).T) + b
     log_p = z - logsumexp(z, axis=1, keepdims=True)
     loss = -log_p[np.arange(n), y_index].mean() + 0.5 * l2_strength * float(np.sum(w * w))
     p = np.exp(log_p)
     p[np.arange(n), y_index] -= 1.0
     p /= n
-    grad_w = x.T @ p + l2_strength * w
+    grad_w = (p.T @ x).T + l2_strength * w
     grad_b = p.sum(axis=0)
     return loss, np.concatenate([grad_w.ravel(), grad_b])
 

@@ -100,6 +100,16 @@ def test_zero_trials_gives_bad_data_code(toy_manifest, tmp_path, subcommand):
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "subcommand, hops", [("classify", ["--k", "0"]), ("sweep", ["--k-min", "0", "--k-max", "1"])]
+)
+def test_zero_hops_gives_bad_data_code_for_k_free_method(toy_manifest, tmp_path, subcommand, hops):
+    out = tmp_path / "out"
+    args = [subcommand, "--manifest", str(toy_manifest), "--dataset", "toy", "--method", "raw"]
+    assert main(args + hops + ["--out", str(out)]) == 4
+    assert not list(out.glob("*.csv"))
+
+
 def test_filter_writes_feature_matrix(toy_manifest, tmp_path):
     out = tmp_path / "out"
     code = main(

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import asgc.filters
 from asgc import (
     ComboWeights,
+    Graph,
     asgc_filter,
     blend,
+    least_squares,
     normalized_adjacency,
     propagate,
     sgc_filter,
@@ -131,6 +134,66 @@ def test_asgc_zero_column_yields_zero():
 def test_asgc_coefficient_count_excludes_power_zero():
     res = asgc_filter(single_edge_graph(), np.array([1.0, -1.0]), 4)
     assert res.coefficients.shape == (1, 4)
+
+
+def per_column_asgc(g, x, k_hops):
+    """One column at a time: K sparse-vector products, then least squares."""
+    mat = normalized_adjacency(g).matrix()
+    cols = x[:, None] if x.ndim == 1 else x
+    filtered = np.zeros(cols.shape)
+    coefficients = np.zeros((cols.shape[1], k_hops))
+    residual_norms = np.zeros(cols.shape[1])
+    for j in range(cols.shape[1]):
+        xj = cols[:, j]
+        if not xj.any():
+            continue
+        basis = np.empty((len(xj), k_hops))
+        t = xj
+        for k in range(k_hops):
+            t = mat @ t
+            basis[:, k] = t
+        sol = least_squares(basis, xj)
+        coefficients[j] = sol.coefficients
+        residual_norms[j] = sol.residual_norm
+        filtered[:, j] = basis @ sol.coefficients
+    return filtered[:, 0] if x.ndim == 1 else filtered, coefficients, residual_norms
+
+
+def block_test_case():
+    """37 columns (chunks of 16 cross twice), one zero and one on an isolated node."""
+    rng = np.random.default_rng(17)
+    base = random_graph(40, 0.1, rng)
+    rows = np.repeat(np.arange(40), np.diff(base.indptr))
+    g = Graph.from_edges(41, np.column_stack([rows, base.indices]))  # node 40 is isolated
+    x = rng.standard_normal((41, 37))
+    x[:, 5] = 0.0
+    x[:, 20] = 0.0
+    x[40, 20] = 1.0
+    return g, x
+
+
+def assert_asgc_equals_per_column_loop(g, x, k_hops):
+    got = asgc_filter(g, x, k_hops)
+    want = per_column_asgc(g, x, k_hops)
+    assert got.filtered.shape == x.shape
+    for field, value in zip(("filtered", "coefficients", "residual_norms"), want):
+        assert np.array_equal(getattr(got, field), value), field
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_asgc_chunked_propagation_equals_per_column_loop(monkeypatch, chunk):
+    g, x = block_test_case()
+    if chunk is not None:
+        monkeypatch.setattr(asgc.filters, "ASGC_CHUNK", chunk)
+    for k in (1, 4):
+        assert_asgc_equals_per_column_loop(g, x, k)
+    # a feature seen only at an isolated node has an all-zero basis
+    assert np.all(asgc_filter(g, x, 4).coefficients[20] == 0)
+
+
+def test_asgc_chunked_propagation_equals_loop_when_rank_deficient():
+    # on a single edge S^2 = I, so K=4 spans only two directions; 1-D input
+    assert_asgc_equals_per_column_loop(single_edge_graph(), np.array([2.0, -0.5]), 4)
 
 
 # --- blending -------------------------------------------------------------------

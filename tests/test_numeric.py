@@ -214,3 +214,16 @@ def test_scores_accept_sparse_features():
     np.testing.assert_array_equal(predict(model, sp.coo_matrix(x)), predict(model, x))
     with pytest.raises(ValueError, match="feature width"):
         decision_scores(model, sp.csr_matrix(np.ones((2, 5))))
+
+
+def test_dense_and_csr_fits_break_an_exact_tie_alike():
+    # all-zero features leave only the bias, which ties classes 1 and 3 (three
+    # labels each); the dense scores must reduce in the CSR path's order, or
+    # the last bit of the bias decides the tie the other way
+    x = np.zeros((10, 4))
+    y = np.array([0, 1, 1, 2, 0, 3, 1, 2, 3, 3])
+    config = LogisticConfig(tol=1e-9, l2_strength=0.1)
+    dense = fit_logistic(x, y, config)
+    sparse = fit_logistic(sp.csr_matrix(x), y, config)
+    assert predict(dense, x).tolist() == [1] * 10
+    np.testing.assert_array_equal(predict(sparse, sp.csr_matrix(x)), predict(dense, x))
