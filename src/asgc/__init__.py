@@ -54,7 +54,6 @@ from .numeric import (
     fit_logistic,
     least_squares,
     predict,
-    predict_proba,
 )
 from .synthetic import (
     DenoiseReport,
@@ -109,7 +108,6 @@ __all__ = [
     "make_splits",
     "normalized_adjacency",
     "predict",
-    "predict_proba",
     "propagate",
     "run_method",
     "run_sweep",

@@ -31,7 +31,6 @@ from .experiments import (
 )
 from .filters import asgc_filter, sgc_filter
 from .graph import GraphError
-from .numeric import LogisticConfig
 from .synthetic import METHODS as SYNTH_METHODS, run_sweep
 
 EXIT_OK = 0
@@ -206,10 +205,13 @@ def cmd_filter(args) -> int:
     return EXIT_OK
 
 
-def _weight_fields(trial: TrialResult):
-    if trial.chosen_weights is None:
-        return ("", "", "")
-    return trial.chosen_weights.as_floats()
+def _trial_fields(trial: TrialResult, *extra) -> tuple:
+    """One result row: the trial's identity and test accuracy, ``extra``, the combo weights."""
+    weights = trial.chosen_weights.as_floats() if trial.chosen_weights else ("", "", "")
+    return (
+        trial.dataset, trial.method, trial.k_hops, trial.trial, trial.seed,
+        trial.test_accuracy, *extra, *weights,
+    )
 
 
 def cmd_classify(args) -> int:
@@ -221,24 +223,9 @@ def cmd_classify(args) -> int:
         trials=args.trials,
         seed=args.seed,
         resolution=args.resolution,
-        classifier=LogisticConfig(),
         jobs=args.jobs,
     )
-    rows = []
-    for trial in results:
-        w = _weight_fields(trial)
-        rows.append(
-            (
-                trial.dataset,
-                trial.method,
-                trial.k_hops,
-                trial.trial,
-                trial.seed,
-                trial.test_accuracy,
-                "" if trial.validation_accuracy is None else trial.validation_accuracy,
-                *w,
-            )
-        )
+    rows = [_trial_fields(trial, trial.validation_accuracy) for trial in results]
     mean_acc = float(np.mean([r.test_accuracy for r in results]))
     val_accs = [r.validation_accuracy for r in results if r.validation_accuracy is not None]
     mean_val = float(np.mean(val_accs)) if val_accs else ""
@@ -269,22 +256,8 @@ def cmd_sweep(args) -> int:
         trials=args.trials,
         seed=args.seed,
         resolution=args.resolution,
-        classifier=LogisticConfig(),
     )
-    rows = []
-    for trial in results:
-        w = _weight_fields(trial)
-        rows.append(
-            (
-                trial.dataset,
-                trial.method,
-                trial.k_hops,
-                trial.trial,
-                trial.seed,
-                trial.test_accuracy,
-                *w,
-            )
-        )
+    rows = [_trial_fields(trial) for trial in results]
     out = Path(args.out)
     csv_path = out / f"sweep_{ds.name}.csv"
     write_csv(

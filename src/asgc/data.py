@@ -15,6 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -55,13 +56,16 @@ class SplitSpec:
     seed: int
 
 
-def _read_lines(path) -> list[str]:
-    return [line for line in Path(path).read_text().splitlines() if line.strip()]
+def _read_lines(path) -> Iterator[tuple[int, str]]:
+    """Yield each non-blank line with its 1-based line number in the file."""
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if line.strip():
+            yield lineno, line
 
 
 def _read_edges(path) -> np.ndarray:
     pairs = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in _read_lines(path):
         parts = line.split()
         if len(parts) != 2:
             raise DatasetError(f"{path}:{lineno}: expected two node ids, got {line!r}")
@@ -75,7 +79,7 @@ def _read_edges(path) -> np.ndarray:
 def _read_features(path) -> np.ndarray:
     rows = []
     width = None
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in _read_lines(path):
         try:
             row = np.fromiter(map(float, line.split(",")), dtype=np.float64)
         except ValueError:
@@ -95,7 +99,7 @@ def _read_features(path) -> np.ndarray:
 
 def _read_labels(path) -> np.ndarray:
     values = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in _read_lines(path):
         try:
             values.append(int(line.strip()))
         except ValueError:

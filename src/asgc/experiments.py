@@ -13,6 +13,10 @@ Non-combo methods have no validation-dependent hyperparameters, so they train
 on train + validation; the combo search selects its blend on validation and
 then retrains the winner on train + validation, putting every method on the
 same 80% of labels before testing.
+
+There is one trial loop, :func:`k_sweep`; :func:`classification_trials` is a
+sweep of one hop count. ``jobs`` spreads each hop count's trials over a
+thread pool without changing any result.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import scipy.sparse as sp
 
 from .data import LabeledDataset, SplitSpec, make_splits
 from .filters import ComboWeights, asgc_filter, blend, sgc_filter, simplex_grid
-from .numeric import LogisticConfig, LogisticModel, accuracy, fit_logistic, predict
+from .numeric import LogisticModel, accuracy, fit_logistic, predict
 from .parallel import parallel_map
 
 METHODS = ("raw", "sgc", "sgc1", "asgc", "combo")
@@ -46,9 +50,7 @@ class TrialResult:
     trial: int = 0
 
 
-def method_features(
-    ds: LabeledDataset, method: str, k_hops: int, rank_tol: float = 1e-10
-) -> np.ndarray | sp.csr_matrix:
+def method_features(ds: LabeledDataset, method: str, k_hops: int) -> np.ndarray | sp.csr_matrix:
     """The feature matrix a non-combo method trains on at hop count ``k_hops``.
 
     ``raw`` is a scipy CSR matrix, so the classifier's cost follows the
@@ -62,18 +64,18 @@ def method_features(
     if method == "sgc1":
         return sgc_filter(ds.graph, ds.features, 1)
     if method == "asgc":
-        return asgc_filter(ds.graph, ds.features, k_hops, rank_tol).filtered
+        return asgc_filter(ds.graph, ds.features, k_hops).filtered
     raise ValueError(f"unknown method {method!r}")
 
 
-def _features(ds, methods, k_hops, rank_tol) -> dict[str, np.ndarray | sp.csr_matrix]:
+def _features(ds, methods, k_hops) -> dict[str, np.ndarray | sp.csr_matrix]:
     """Every matrix the given methods train on at one hop count, each built once.
 
     Filtering is unsupervised, so the matrices depend only on (dataset, k) and
     are shared across methods and splits.
     """
     need = {n for m in methods for n in (("sgc", "asgc") if m == "combo" else (m,))}
-    return {m: method_features(ds, m, k_hops, rank_tol) for m in METHODS if m in need}
+    return {m: method_features(ds, m, k_hops) for m in METHODS if m in need}
 
 
 def run_method(
@@ -82,9 +84,7 @@ def run_method(
     method: str,
     k_hops: int = 6,
     resolution: int = 3,
-    classifier: LogisticConfig | None = None,
     features: Mapping[str, np.ndarray | sp.csr_matrix] | None = None,
-    rank_tol: float = 1e-10,
 ) -> TrialResult:
     """Train one method on one split and score it on the test nodes.
 
@@ -94,16 +94,16 @@ def run_method(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if features is None:
-        features = _features(ds, [method], k_hops, rank_tol)
+        features = _features(ds, [method], k_hops)
     if method == "combo":
         _, _, trial = combo_search(
             ds, split, ds.features, features["sgc"], features["asgc"],
-            resolution=resolution, classifier=classifier, k_hops=k_hops,
+            resolution=resolution, k_hops=k_hops,
         )
         return trial
     x = features[method]
     fit_idx = np.concatenate([split.train, split.validation])
-    model = fit_logistic(x[fit_idx], ds.labels[fit_idx], classifier)
+    model = fit_logistic(x[fit_idx], ds.labels[fit_idx])
     test_accuracy = accuracy(predict(model, x[split.test]), ds.labels[split.test])
     return TrialResult(
         dataset=ds.name,
@@ -121,7 +121,6 @@ def combo_search(
     x_sgc: np.ndarray,
     x_asgc: np.ndarray,
     resolution: int = 3,
-    classifier: LogisticConfig | None = None,
     k_hops: int = 6,
 ) -> tuple[LogisticModel, ComboWeights, TrialResult]:
     """Grid-search convex blend weights by validation accuracy, then retrain.
@@ -136,7 +135,7 @@ def combo_search(
     best_val = -np.inf
     for weights in simplex_grid(resolution):
         blended = blend(x_raw, x_sgc, x_asgc, weights)
-        model = fit_logistic(blended[split.train], y[split.train], classifier)
+        model = fit_logistic(blended[split.train], y[split.train])
         val_acc = accuracy(predict(model, blended[split.validation]), y[split.validation])
         if val_acc > best_val:
             best_val = val_acc
@@ -144,7 +143,7 @@ def combo_search(
     assert best_weights is not None
     blended = blend(x_raw, x_sgc, x_asgc, best_weights)
     fit_idx = np.concatenate([split.train, split.validation])
-    final = fit_logistic(blended[fit_idx], y[fit_idx], classifier)
+    final = fit_logistic(blended[fit_idx], y[fit_idx])
     test_accuracy = accuracy(predict(final, blended[split.test]), y[split.test])
     trial = TrialResult(
         dataset=ds.name,
@@ -171,27 +170,10 @@ def classification_trials(
     trials: int = 10,
     seed: int = 0,
     resolution: int = 3,
-    classifier: LogisticConfig | None = None,
-    rank_tol: float = 1e-10,
     jobs: int = 1,
 ) -> list[TrialResult]:
-    """Run one method over `trials` random splits with shared filter matrices.
-
-    Splits derive from (seed, trial index), so results do not depend on how
-    the trials are scheduled when ``jobs > 1``.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if k_hops < 1:
-        raise ValueError("k_hops must be >= 1")
-    features = _features(ds, [method], k_hops, rank_tol)
-
-    def one(t: int) -> TrialResult:
-        split = make_splits(ds.n, split_seed(seed, t))
-        result = run_method(ds, split, method, k_hops, resolution, classifier, features, rank_tol)
-        return replace(result, trial=t)
-
-    return parallel_map(one, range(trials), jobs)
+    """Run one method over ``trials`` random splits: a sweep of one hop count."""
+    return k_sweep(ds, [method], [k_hops], trials, seed, resolution, jobs)
 
 
 def k_sweep(
@@ -201,8 +183,7 @@ def k_sweep(
     trials: int = 10,
     seed: int = 0,
     resolution: int = 3,
-    classifier: LogisticConfig | None = None,
-    rank_tol: float = 1e-10,
+    jobs: int = 1,
 ) -> list[TrialResult]:
     """Cross-product of hop counts, trials, and methods.
 
@@ -210,6 +191,10 @@ def k_sweep(
     comparisons are paired. Filter matrices are computed once per hop count.
     The k-independent methods (:data:`K_FREE_METHODS`) are trained once per
     trial, and that result is repeated under every hop count.
+
+    Each hop count's trials run through :func:`parallel_map`. Splits derive
+    from (seed, trial index) and a trial's k-free results are written only by
+    that trial's work item, so the results do not depend on ``jobs``.
     """
     methods = list(methods)
     k_values = list(k_values)
@@ -225,25 +210,26 @@ def k_sweep(
     if len(set(methods)) != len(methods):
         raise ValueError(f"methods must not repeat: {methods}")
     splits = [make_splits(ds.n, split_seed(seed, t)) for t in range(trials)]
-
-    def run(t, m, k, features):
-        result = run_method(ds, splits[t], m, k, resolution, classifier, features, rank_tol)
-        return replace(result, trial=t)
-
     k_free: dict[tuple[int, str], TrialResult] = {}
+
+    def one_trial(t, k, features) -> list[TrialResult]:
+        row = []
+        for m in methods:
+            result = k_free.get((t, m))
+            if result is None:
+                result = replace(run_method(ds, splits[t], m, k, resolution, features), trial=t)
+                if m in K_FREE_METHODS:
+                    k_free[t, m] = result
+            row.append(replace(result, k_hops=k))
+        return row
+
     results = []
     for i, k in enumerate(k_values):
         need = methods if i == 0 else [m for m in methods if m not in K_FREE_METHODS]
         features = None  # free the previous hop count's matrices before building the next
-        features = _features(ds, need, k, rank_tol)
-        for t in range(trials):
-            for m in methods:
-                if m in K_FREE_METHODS:
-                    if (t, m) not in k_free:
-                        k_free[t, m] = run(t, m, k, features)
-                    results.append(replace(k_free[t, m], k_hops=k))
-                else:
-                    results.append(run(t, m, k, features))
+        features = _features(ds, need, k)
+        rows = parallel_map(lambda t: one_trial(t, k, features), range(trials), jobs)
+        results.extend(r for row in rows for r in row)
     return results
 
 

@@ -51,7 +51,7 @@ class AsgcResult:
     residual_norms: np.ndarray
 
 
-def asgc_filter(g: Graph, x, k_hops: int = 6, rank_tol: float = 1e-10) -> AsgcResult:
+def asgc_filter(g: Graph, x, k_hops: int = 6) -> AsgcResult:
     """Fit each feature as a combination of its 1..K-step propagations.
 
     For each feature column x_j independently: build the columns
@@ -90,7 +90,7 @@ def asgc_filter(g: Graph, x, k_hops: int = 6, rank_tol: float = 1e-10) -> AsgcRe
             bases[:, :, k] = t.T
         out = np.empty((len(idx), n))
         for c, j in enumerate(idx):
-            sol = least_squares(bases[c], targets[c], rank_tol)
+            sol = least_squares(bases[c], targets[c])
             coefficients[j] = sol.coefficients
             residual_norms[j] = sol.residual_norm
             out[c] = bases[c] @ sol.coefficients

@@ -177,15 +177,6 @@ def decision_scores(model: LogisticModel, x) -> np.ndarray:
     return x @ model.weights + model.bias
 
 
-def predict_proba(model: LogisticModel, x) -> np.ndarray:
-    """Class probabilities; each row sums to 1."""
-    z = decision_scores(model, x)
-    z -= z.max(axis=1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=1, keepdims=True)
-    return p
-
-
 def predict(model: LogisticModel, x) -> np.ndarray:
     """Most probable class per row; ties break toward the lower class index."""
     scores = decision_scores(model, x)

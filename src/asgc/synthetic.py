@@ -89,13 +89,13 @@ class MethodDenoise:
     plus_mean: float
 
 
-def denoise_trial(cfg: SbmConfig, k_hops: int = 2, rank_tol: float = 1e-10) -> dict[str, MethodDenoise]:
+def denoise_trial(cfg: SbmConfig, k_hops: int = 2) -> dict[str, MethodDenoise]:
     """Run one trial: generate a graph and score raw/sgc/asgc denoising."""
     graph, feature, labels = generate_sbm(cfg)
     outputs = {
         "raw": feature,
         "sgc": sgc_filter(graph, feature, k_hops),
-        "asgc": asgc_filter(graph, feature, k_hops, rank_tol).filtered,
+        "asgc": asgc_filter(graph, feature, k_hops).filtered,
     }
     result = {}
     for method, values in outputs.items():
@@ -133,7 +133,6 @@ def run_sweep(
     trials: int = 10,
     k_hops: int = 2,
     n_per_block: int = 500,
-    expected_degree: float = 10.0,
     seed: int = 0,
     jobs: int = 1,
 ) -> list[DenoiseReport]:
@@ -152,7 +151,6 @@ def run_sweep(
         gi, ti = item
         cfg = SbmConfig(
             n_per_block=n_per_block,
-            expected_degree=expected_degree,
             log_ratio=float(log_ratios[gi]),
             seed=trial_seed(seed, gi, ti),
         )

@@ -73,6 +73,25 @@ def test_load_rejects_unparseable_edges(tmp_path):
         load_dataset(e, f, l)
 
 
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        ("edges", "0 1\n\n\n1 q\n"),
+        ("features", "1.0,2.0\n\n3.0,4.0\n5.0,x\n"),
+        ("labels", "0\n\n1\nz\n"),
+    ],
+    ids=["edges", "features", "labels"],
+)
+def test_error_names_the_file_line_after_blank_lines(tmp_path, kind, text):
+    paths = write_dataset(
+        tmp_path, edges=[(0, 1)], features=[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], labels=[0, 1, 1]
+    )
+    by_kind = dict(zip(("edges", "features", "labels"), paths))
+    by_kind[kind].write_text(text)  # the bad row is line 4, after a blank line
+    with pytest.raises(DatasetError, match=rf"toy\.{kind}:4: "):
+        load_dataset(*paths)
+
+
 def test_load_rejects_label_count_mismatch(tmp_path):
     paths = write_dataset(tmp_path, edges=[(0, 1)], features=[[1.0], [2.0]], labels=[0, 1, 1])
     with pytest.raises(DatasetError, match="label count"):

@@ -163,6 +163,23 @@ def test_raw_bundle_is_csr_of_the_features(monkeypatch):
     assert len(seen) == 1 and seen[0] is ds.features
 
 
+def test_k_sweep_is_the_same_for_any_jobs():
+    ds = toy_dataset(n_per_block=30)
+    methods = ["raw", "sgc1", "asgc", "combo"]
+    seq = k_sweep(ds, methods, [1, 2], trials=3, seed=4, resolution=1, jobs=1)
+    par = k_sweep(ds, methods, [1, 2], trials=3, seed=4, resolution=1, jobs=2)
+    assert seq == par
+    assert len(seq) == 2 * 3 * len(methods)
+
+
+@pytest.mark.parametrize("method", experiments.METHODS)
+def test_classification_trials_is_a_one_k_sweep(method):
+    ds = toy_dataset(n_per_block=30)
+    got = classification_trials(ds, method, 2, trials=2, seed=3, resolution=1)
+    assert got == k_sweep(ds, [method], [2], trials=2, seed=3, resolution=1)
+    assert [r.trial for r in got] == [0, 1]
+
+
 def test_k_sweep_rejects_empty_inputs():
     ds = toy_dataset(n_per_block=40)
     with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from asgc import (
     fit_logistic,
     least_squares,
     predict,
-    predict_proba,
 )
 from asgc.numeric import LogisticModel, decision_scores, softmax_objective
 from conftest import svd_least_squares
@@ -152,16 +151,6 @@ def test_gradient_small_at_convergence():
 def test_zero_model_predicts_lowest_class():
     model = LogisticModel(weights=np.zeros((2, 3)), bias=np.zeros(3), classes=np.arange(3))
     assert predict(model, np.random.default_rng(0).standard_normal((5, 2))).tolist() == [0] * 5
-
-
-def test_predict_proba_rows_sum_to_one():
-    rng = np.random.default_rng(8)
-    model = LogisticModel(
-        weights=rng.standard_normal((4, 5)) * 10, bias=rng.standard_normal(5), classes=np.arange(5)
-    )
-    p = predict_proba(model, rng.standard_normal((20, 4)) * 5)
-    np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
-    assert np.all(p >= 0)
 
 
 def test_predict_rejects_width_mismatch():
