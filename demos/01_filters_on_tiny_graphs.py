@@ -20,8 +20,8 @@ np.set_printoptions(precision=3, suppress=True)
 # feature ([1, 1]) and one perfectly rough feature ([1, -1]).
 edge = Graph.from_edges(2, [[0, 1]])
 print("single edge, degrees:", degrees(edge))
-print("S  =\n", normalized_adjacency(edge, add_self_loops=False).dense())
-print("S~ =\n", normalized_adjacency(edge, add_self_loops=True).dense())
+print("S  =\n", normalized_adjacency(edge, add_self_loops=False).matrix().toarray())
+print("S~ =\n", normalized_adjacency(edge, add_self_loops=True).matrix().toarray())
 
 smooth = np.array([1.0, 1.0])
 rough = np.array([1.0, -1.0])

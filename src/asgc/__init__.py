@@ -16,7 +16,6 @@ from .data import (
     load_from_manifest,
     load_manifest,
     make_splits,
-    save_dataset,
 )
 from .experiments import (
     METHODS,
@@ -111,7 +110,6 @@ __all__ = [
     "propagate",
     "run_method",
     "run_sweep",
-    "save_dataset",
     "sgc_filter",
     "simplex_grid",
     "split_seed",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from html import escape
 from pathlib import Path
 
 import numpy as np
@@ -89,14 +90,14 @@ def svg_line_chart(path: Path, series, title: str, x_label: str, y_label: str) -
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{left + plot_w / 2:.2f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        f'font-family="sans-serif" font-size="15">{escape(title, quote=False)}</text>',
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="black"/>',
         f'<text x="{left + plot_w / 2:.2f}" y="{height - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{x_label}</text>',
+        f'font-family="sans-serif" font-size="13">{escape(x_label, quote=False)}</text>',
         f'<text x="18" y="{top + plot_h / 2:.2f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {top + plot_h / 2:.2f})">{y_label}</text>',
+        f'transform="rotate(-90 18 {top + plot_h / 2:.2f})">{escape(y_label, quote=False)}</text>',
     ]
     for i in range(5):
         frac = i / 4
@@ -132,7 +133,8 @@ def svg_line_chart(path: Path, series, title: str, x_label: str, y_label: str) -
             f'stroke="{color}" stroke-width="1.8"/>'
         )
         parts.append(
-            f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" font-size="12">{name}</text>'
+            f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" font-size="12">'
+            f"{escape(name, quote=False)}</text>"
         )
     parts.append("</svg>")
     path.parent.mkdir(parents=True, exist_ok=True)

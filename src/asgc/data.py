@@ -141,27 +141,6 @@ def load_dataset(edge_path, feature_path, label_path, name: str | None = None) -
     )
 
 
-def save_dataset(ds: LabeledDataset, edge_path, feature_path, label_path) -> None:
-    """Write a dataset back out in the canonical on-disk form.
-
-    Each undirected edge appears once as ``i<TAB>j`` with i < j; feature
-    values use shortest round-trip decimal representation, so a save/load
-    cycle reproduces the arrays exactly.
-    """
-    g = ds.graph
-    row = np.repeat(np.arange(g.n), np.diff(g.indptr))
-    upper = row < g.indices
-    with open(edge_path, "w") as fh:
-        for i, j in zip(row[upper], g.indices[upper]):
-            fh.write(f"{i}\t{j}\n")
-    with open(feature_path, "w") as fh:
-        for feature_row in ds.features:
-            fh.write(",".join(repr(float(v)) for v in feature_row) + "\n")
-    with open(label_path, "w") as fh:
-        for value in ds.labels:
-            fh.write(f"{int(value)}\n")
-
-
 @dataclass(frozen=True)
 class ManifestEntry:
     name: str

@@ -61,10 +61,10 @@ def asgc_filter(g: Graph, x, k_hops: int = 6) -> AsgcResult:
     coefficients and zero output (the minimum-norm solution of the degenerate
     problem).
 
-    Nonzero columns are propagated :data:`ASGC_CHUNK` at a time, one sparse
-    product per hop; each column of that product equals its own
-    sparse-vector product bit for bit, so the chunk size never changes the
-    output.
+    Nonzero columns are propagated :data:`ASGC_CHUNK` at a time, one
+    :func:`propagate` call per hop; each column of that product equals its
+    own sparse-vector product bit for bit, so the chunk size never changes
+    the output.
     """
     if k_hops < 1:
         raise ValueError("k_hops must be >= 1")
@@ -73,7 +73,7 @@ def asgc_filter(g: Graph, x, k_hops: int = 6) -> AsgcResult:
     cols = x[:, None] if single else x
     if cols.ndim != 2 or cols.shape[0] != g.n:
         raise GraphError(f"feature rows must equal node count ({g.n})")
-    mat = normalized_adjacency(g, add_self_loops=False).matrix()
+    op = normalized_adjacency(g, add_self_loops=False)
     n, f = cols.shape
     filtered = np.zeros((n, f))
     coefficients = np.zeros((f, k_hops))
@@ -86,7 +86,7 @@ def asgc_filter(g: Graph, x, k_hops: int = 6) -> AsgcResult:
         # bases[c] is column idx[c]'s C-ordered n x K Krylov basis
         bases = np.empty((len(idx), n, k_hops))
         for k in range(k_hops):
-            t = mat @ t
+            t = propagate(op, t)
             bases[:, :, k] = t.T
         out = np.empty((len(idx), n))
         for c, j in enumerate(idx):

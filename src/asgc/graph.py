@@ -84,23 +84,17 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class PropagationOperator:
-    """Symmetric real-valued operator in the same CSR layout as :class:`Graph`.
+    """A symmetric normalized adjacency, held as the one scipy CSR built for it.
 
     ``with_self_loops`` records whether the diagonal was augmented before
     normalization. All eigenvalues lie in [-1, 1].
     """
 
-    n: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    values: np.ndarray
+    csr: sp.csr_matrix
     with_self_loops: bool
 
     def matrix(self) -> sp.csr_matrix:
-        return sp.csr_matrix((self.values, self.indices, self.indptr), shape=(self.n, self.n))
-
-    def dense(self) -> np.ndarray:
-        return self.matrix().toarray()
+        return self.csr
 
 
 def degrees(g: Graph) -> np.ndarray:
@@ -117,31 +111,24 @@ def normalized_adjacency(g: Graph, add_self_loops: bool = False) -> PropagationO
     the operator total on graphs with isolated nodes.
     """
     d = degrees(g).astype(np.float64)
+    a = g.adjacency()
     if add_self_loops:
-        a = g.adjacency() + sp.identity(g.n, format="csr")
-        d_eff = d + 1.0
-    else:
-        a = g.adjacency()
-        d_eff = d
+        a = a + sp.identity(g.n, format="csr")
+        d += 1.0
     a.sort_indices()
     row = np.repeat(np.arange(g.n), np.diff(a.indptr))
     # every stored entry touches two nodes of effective degree >= 1, so the
     # zero-degree convention (all-zero row/column) never divides by zero here
-    values = a.data / np.sqrt(d_eff[row] * d_eff[a.indices])
-    return PropagationOperator(
-        n=g.n,
-        indptr=a.indptr.astype(np.int64),
-        indices=a.indices.astype(np.int64),
-        values=values,
-        with_self_loops=add_self_loops,
-    )
+    a.data = a.data / np.sqrt(d[row] * d[a.indices])
+    return PropagationOperator(csr=a, with_self_loops=add_self_loops)
 
 
 def propagate(op: PropagationOperator, x: np.ndarray) -> np.ndarray:
     """Apply the operator to a feature vector (n,) or feature matrix (n, f)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[0] != op.n:
-        raise GraphError(f"feature rows ({x.shape[0] if x.ndim else 0}) must equal node count ({op.n})")
+    n = op.csr.shape[0]
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise GraphError(f"feature rows ({x.shape[0] if x.ndim else 0}) must equal node count ({n})")
     return op.matrix() @ x
 
 

@@ -1,3 +1,5 @@
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,23 @@ def test_sweep_and_aggregate_round_trip(toy_manifest, tmp_path):
     assert len(summary) == 1 + 2
     datasets_csv = (out / "aggregate_datasets.csv").read_text().splitlines()
     assert datasets_csv[0] == "dataset,method,source,mean_accuracy,std_accuracy,proportion"
+
+
+def test_sweep_svg_escapes_markup_in_dataset_name(toy_manifest, tmp_path):
+    manifest = toy_manifest.parent / "amp.manifest"
+    fields = ("edges", "features", "labels")
+    manifest.write_text("".join(f"r&d.{field} = toy.{field}\n" for field in fields))
+    out = tmp_path / "out"
+    code = main(
+        [
+            "sweep", "--manifest", str(manifest), "--dataset", "r&d", "--method", "raw",
+            "--k-min", "1", "--k-max", "1", "--trials", "1", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    root = ET.parse(out / "sweep_r&d.svg").getroot()
+    title = root.find("{http://www.w3.org/2000/svg}text")
+    assert title.text == "Test accuracy vs hops: r&d"
 
 
 def test_aggregate_with_external_reference(toy_manifest, tmp_path):

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from asgc import (
     load_from_manifest,
     load_manifest,
     make_splits,
-    save_dataset,
 )
 
 # (nodes, undirected edges, features, classes) for the reference benchmarks
@@ -103,28 +103,6 @@ def test_missing_file_raises_file_not_found(tmp_path):
         load_dataset(tmp_path / "nope.edges", tmp_path / "nope.features", tmp_path / "nope.labels")
 
 
-def test_round_trip_is_exact(tmp_path):
-    rng = np.random.default_rng(0)
-    n = 25
-    upper = np.triu(rng.random((n, n)) < 0.2, k=1)
-    edges = np.column_stack(np.nonzero(upper))
-    ds = LabeledDataset(
-        name="rt",
-        graph=Graph.from_edges(n, edges),
-        features=rng.standard_normal((n, 4)),
-        labels=rng.integers(0, 3, size=n),
-    )
-    if len(np.unique(ds.labels)) < 3:  # keep the class range contiguous
-        ds.labels[:3] = [0, 1, 2]
-    paths = (tmp_path / "rt.edges", tmp_path / "rt.features", tmp_path / "rt.labels")
-    save_dataset(ds, *paths)
-    back = load_dataset(*paths, name="rt")
-    assert np.array_equal(back.graph.indptr, ds.graph.indptr)
-    assert np.array_equal(back.graph.indices, ds.graph.indices)
-    assert np.array_equal(back.features, ds.features)
-    assert np.array_equal(back.labels, ds.labels)
-
-
 def make_labeled(edges, labels, n=None):
     n = n if n is not None else len(labels)
     return LabeledDataset(
@@ -209,6 +187,14 @@ def test_manifest_round_trip(tmp_path):
     assert entries["toy"].expected_nodes == 3
     ds = load_from_manifest(manifest, "toy")
     assert ds.name == "toy" and ds.n == 3
+
+
+def test_readme_manifest_example_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("A manifest binds names to files")[1].split("```")[1]
+    manifest = tmp_path / "data.manifest"
+    manifest.write_text(block)
+    assert load_manifest(manifest)["cora"].expected_nodes == 2702
 
 
 def test_manifest_warns_on_node_count_mismatch(tmp_path):

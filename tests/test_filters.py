@@ -191,6 +191,20 @@ def test_asgc_chunked_propagation_equals_per_column_loop(monkeypatch, chunk):
     assert np.all(asgc_filter(g, x, 4).coefficients[20] == 0)
 
 
+def test_asgc_hops_are_propagate_calls(monkeypatch):
+    g, x = block_test_case()  # 36 live columns: chunks of 16, 16 and 4
+    shapes = []
+    real = asgc.filters.propagate
+
+    def counting(op, t):
+        shapes.append(t.shape)
+        return real(op, t)
+
+    monkeypatch.setattr(asgc.filters, "propagate", counting)
+    asgc_filter(g, x, 4)
+    assert shapes == [(41, 16)] * 8 + [(41, 4)] * 4
+
+
 def test_asgc_chunked_propagation_equals_loop_when_rank_deficient():
     # on a single edge S^2 = I, so K=4 spans only two directions; 1-D input
     assert_asgc_equals_per_column_loop(single_edge_graph(), np.array([2.0, -0.5]), 4)

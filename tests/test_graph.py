@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -44,20 +46,20 @@ def test_from_edges_rejects_out_of_range():
 
 def test_normalized_adjacency_single_edge():
     s = normalized_adjacency(single_edge_graph(), add_self_loops=False)
-    assert np.array_equal(s.dense(), [[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(s.matrix().toarray(), [[0.0, 1.0], [1.0, 0.0]])
     assert not s.with_self_loops
 
 
 def test_normalized_adjacency_single_edge_self_loops():
     s = normalized_adjacency(single_edge_graph(), add_self_loops=True)
-    assert np.array_equal(s.dense(), [[0.5, 0.5], [0.5, 0.5]])
+    assert np.array_equal(s.matrix().toarray(), [[0.5, 0.5], [0.5, 0.5]])
     assert s.with_self_loops
 
 
 def test_normalized_adjacency_path_matches_dense_oracle():
     g = path_graph(4)
     for loops in (False, True):
-        got = normalized_adjacency(g, loops).dense()
+        got = normalized_adjacency(g, loops).matrix().toarray()
         want = dense_normalized_adjacency(g, loops)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
@@ -66,23 +68,23 @@ def test_normalized_adjacency_is_exactly_symmetric():
     rng = np.random.default_rng(7)
     for loops in (False, True):
         g = random_graph(40, 0.1, rng)
-        d = normalized_adjacency(g, loops).dense()
+        d = normalized_adjacency(g, loops).matrix().toarray()
         assert np.array_equal(d, d.T)
 
 
 def test_diagonal_conventions():
     rng = np.random.default_rng(8)
     g = random_graph(30, 0.15, rng)
-    assert np.all(np.diag(normalized_adjacency(g, True).dense()) > 0)
-    assert np.all(np.diag(normalized_adjacency(g, False).dense()) == 0)
+    assert np.all(np.diag(normalized_adjacency(g, True).matrix().toarray()) > 0)
+    assert np.all(np.diag(normalized_adjacency(g, False).matrix().toarray()) == 0)
 
 
 def test_zero_degree_rows_are_zero_without_self_loops():
     g = Graph.from_edges(3, [[0, 1]])
-    d = normalized_adjacency(g, add_self_loops=False).dense()
+    d = normalized_adjacency(g, add_self_loops=False).matrix().toarray()
     assert np.all(d[2] == 0) and np.all(d[:, 2] == 0)
     # with self-loops the isolated node keeps a unit diagonal entry
-    d = normalized_adjacency(g, add_self_loops=True).dense()
+    d = normalized_adjacency(g, add_self_loops=True).matrix().toarray()
     assert d[2, 2] == 1.0
 
 
@@ -91,8 +93,14 @@ def test_eigenvalues_within_unit_interval(loops):
     rng = np.random.default_rng(11)
     for _ in range(5):
         g = random_graph(60, 0.08, rng)
-        vals = np.linalg.eigvalsh(normalized_adjacency(g, loops).dense())
+        vals = np.linalg.eigvalsh(normalized_adjacency(g, loops).matrix().toarray())
         assert np.max(np.abs(vals)) <= 1 + 1e-9
+
+
+def test_operator_holds_one_csr():
+    op = normalized_adjacency(path_graph(5), True)
+    assert [f.name for f in dataclasses.fields(op)] == ["csr", "with_self_loops"]
+    assert op.matrix() is op.matrix()
 
 
 def test_propagate_swaps_under_single_edge():
