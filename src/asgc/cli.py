@@ -296,16 +296,21 @@ def _read_trial_rows(path: Path, k_filter: int | None) -> list[TrialResult]:
         for row in reader:
             if row["trial"] == "mean":
                 continue
-            k_hops = int(row["k_hops"])
-            if k_filter is not None and k_hops != k_filter:
-                continue
+            try:
+                k_hops = int(row["k_hops"])
+                if k_filter is not None and k_hops != k_filter:
+                    continue
+                seed = int(row["seed"]) if row.get("seed") else 0
+                test_accuracy = float(row["test_accuracy"])
+            except (TypeError, ValueError) as exc:
+                raise DatasetError(f"{path}:{reader.line_num}: {exc}")
             rows.append(
                 TrialResult(
                     dataset=row["dataset"],
                     method=row["method"],
                     k_hops=k_hops,
-                    seed=int(row["seed"]) if row.get("seed") else 0,
-                    test_accuracy=float(row["test_accuracy"]),
+                    seed=seed,
+                    test_accuracy=test_accuracy,
                 )
             )
     return rows
@@ -320,7 +325,11 @@ def _read_external(path: Path) -> dict[str, dict[str, float]]:
         if missing:
             raise DatasetError(f"{path}: missing columns {sorted(missing)}")
         for row in reader:
-            table.setdefault(row["method"], {})[row["dataset"]] = float(row["accuracy"])
+            try:
+                accuracy = float(row["accuracy"])
+            except (TypeError, ValueError) as exc:
+                raise DatasetError(f"{path}:{reader.line_num}: {exc}")
+            table.setdefault(row["method"], {})[row["dataset"]] = accuracy
     return table
 
 

@@ -29,7 +29,7 @@ import scipy.sparse as sp
 
 from .data import LabeledDataset, SplitSpec, make_splits
 from .filters import ComboWeights, asgc_filter, blend, sgc_filter, simplex_grid
-from .numeric import LogisticModel, accuracy, fit_logistic, predict
+from .numeric import accuracy, fit_logistic, predict
 from .parallel import parallel_map
 
 METHODS = ("raw", "sgc", "sgc1", "asgc", "combo")
@@ -96,11 +96,10 @@ def run_method(
     if features is None:
         features = _features(ds, [method], k_hops)
     if method == "combo":
-        _, _, trial = combo_search(
+        return combo_search(
             ds, split, ds.features, features["sgc"], features["asgc"],
             resolution=resolution, k_hops=k_hops,
         )
-        return trial
     x = features[method]
     fit_idx = np.concatenate([split.train, split.validation])
     model = fit_logistic(x[fit_idx], ds.labels[fit_idx])
@@ -122,7 +121,7 @@ def combo_search(
     x_asgc: np.ndarray,
     resolution: int = 3,
     k_hops: int = 6,
-) -> tuple[LogisticModel, ComboWeights, TrialResult]:
+) -> TrialResult:
     """Grid-search convex blend weights by validation accuracy, then retrain.
 
     Every simplex lattice triple is tried in deterministic grid order; a
@@ -145,7 +144,7 @@ def combo_search(
     fit_idx = np.concatenate([split.train, split.validation])
     final = fit_logistic(blended[fit_idx], y[fit_idx])
     test_accuracy = accuracy(predict(final, blended[split.test]), y[split.test])
-    trial = TrialResult(
+    return TrialResult(
         dataset=ds.name,
         method="combo",
         k_hops=k_hops,
@@ -154,7 +153,6 @@ def combo_search(
         validation_accuracy=float(best_val),
         chosen_weights=best_weights,
     )
-    return final, best_weights, trial
 
 
 def split_seed(seed: int, trial_index: int) -> int:

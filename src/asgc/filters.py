@@ -72,7 +72,7 @@ def asgc_filter(g: Graph, x, k_hops: int = 6) -> AsgcResult:
     single = x.ndim == 1
     cols = x[:, None] if single else x
     if cols.ndim != 2 or cols.shape[0] != g.n:
-        raise GraphError(f"feature rows must equal node count ({g.n})")
+        raise GraphError(f"features must have shape (n,) or (n, f) with n = {g.n}, got {x.shape}")
     op = normalized_adjacency(g, add_self_loops=False)
     n, f = cols.shape
     filtered = np.zeros((n, f))
@@ -121,20 +121,9 @@ class ComboWeights:
         if sum(self.numerators) != self.resolution:
             raise ValueError("numerators must sum to the resolution")
 
-    @property
-    def w_raw(self) -> float:
-        return self.numerators[0] / self.resolution
-
-    @property
-    def w_sgc(self) -> float:
-        return self.numerators[1] / self.resolution
-
-    @property
-    def w_asgc(self) -> float:
-        return self.numerators[2] / self.resolution
-
     def as_floats(self) -> tuple[float, float, float]:
-        return (self.w_raw, self.w_sgc, self.w_asgc)
+        """(raw, smoothed, adaptive) weights, each numerator over the resolution."""
+        return tuple(v / self.resolution for v in self.numerators)
 
 
 def simplex_grid(resolution: int) -> list[ComboWeights]:

@@ -14,35 +14,15 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected, unweighted graph in compressed sparse row form.
+    """Undirected, unweighted graph held as its one 0/1 scipy CSR adjacency.
 
-    ``indptr`` has length ``n + 1`` and ``indices[indptr[i]:indptr[i+1]]``
-    holds the neighbor ids of node ``i``, sorted ascending. Edge values are
-    implicitly 1. The stored structure is always symmetric, deduplicated, and
-    free of self-loops; :meth:`from_edges` enforces that on arbitrary input.
+    The matrix is symmetric, in canonical format (each row's column indices
+    sorted ascending without duplicates), free of self-loops, and stores only
+    ones. :meth:`from_edges` builds it so from arbitrary input, and every
+    graph in the package comes from there.
     """
 
-    n: int
-    indptr: np.ndarray
-    indices: np.ndarray
-
-    def __post_init__(self):
-        if self.n < 0 or self.indptr.shape != (self.n + 1,):
-            raise GraphError("indptr must have length n + 1")
-        if self.indptr[0] != 0 or self.indptr[-1] != len(self.indices):
-            raise GraphError("indptr is not a valid offset array")
-        if len(self.indices) and (self.indices.min() < 0 or self.indices.max() >= self.n):
-            raise GraphError("column index out of range")
-        row = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        if np.any(row == self.indices):
-            raise GraphError("self-loops are not stored in Graph")
-        if len(self.indices) > 1:
-            same_row = row[1:] == row[:-1]
-            if np.any(same_row & (np.diff(self.indices) <= 0)):
-                raise GraphError("row indices must be sorted ascending without duplicates")
-        a = self.adjacency()
-        if (a != a.T).nnz != 0:
-            raise GraphError("adjacency must be symmetric")
+    adjacency: sp.csr_matrix
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -51,7 +31,15 @@ class Graph:
         The pair list is symmetrized (union of both directions), duplicate
         entries collapse to a single edge, and self-loops are dropped.
         """
-        edges = np.asarray(edges, dtype=np.int64)
+        if n < 0:
+            raise GraphError(f"node count must be >= 0, got {n}")
+        given = np.asarray(edges)
+        if given.dtype.kind not in "biuf":
+            raise GraphError(f"edges must be numeric node ids, got dtype {given.dtype}")
+        with np.errstate(invalid="ignore"):  # NaN/inf/overflow then fail the check below
+            edges = given.astype(np.int64)
+        if np.any(edges != given):
+            raise GraphError("edge endpoints must be integer node ids")
         if edges.size == 0:
             edges = edges.reshape(0, 2)
         if edges.ndim != 2 or edges.shape[1] != 2:
@@ -65,21 +53,27 @@ class Graph:
             (np.ones(len(rows)), (rows, cols)), shape=(n, n)
         ).tocsr()
         a.data[:] = 1.0
-        return cls(n=n, indptr=a.indptr.astype(np.int64), indices=a.indices.astype(np.int64))
+        return cls(a)
+
+    @property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self.adjacency.indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self.adjacency.indices
 
     @property
     def edge_count(self) -> int:
         """Number of undirected edges."""
-        return len(self.indices) // 2
+        return self.adjacency.nnz // 2
 
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
-    def adjacency(self) -> sp.csr_matrix:
-        """The 0/1 adjacency matrix as a scipy CSR matrix."""
-        return sp.csr_matrix(
-            (np.ones(len(self.indices)), self.indices, self.indptr), shape=(self.n, self.n)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +105,7 @@ def normalized_adjacency(g: Graph, add_self_loops: bool = False) -> PropagationO
     the operator total on graphs with isolated nodes.
     """
     d = degrees(g).astype(np.float64)
-    a = g.adjacency()
+    a = g.adjacency.copy()  # a.data is rebound below
     if add_self_loops:
         a = a + sp.identity(g.n, format="csr")
         d += 1.0
@@ -128,7 +122,7 @@ def propagate(op: PropagationOperator, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     n = op.csr.shape[0]
     if x.ndim not in (1, 2) or x.shape[0] != n:
-        raise GraphError(f"feature rows ({x.shape[0] if x.ndim else 0}) must equal node count ({n})")
+        raise GraphError(f"features must have shape (n,) or (n, f) with n = {n}, got {x.shape}")
     return op.matrix() @ x
 
 

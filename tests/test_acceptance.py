@@ -260,7 +260,7 @@ def test_criterion_7_combo_validation_dominance():
         x_sgc, x_asgc = method_features(ds, "sgc", 3), method_features(ds, "asgc", 3)
         for split_seed_value in (0, 1, 2):
             split = make_splits(ds.n, seed=split_seed_value)
-            _, _, trial = combo_search(ds, split, ds.features, x_sgc, x_asgc, resolution=3, k_hops=3)
+            trial = combo_search(ds, split, ds.features, x_sgc, x_asgc, resolution=3, k_hops=3)
             for corner_name, corner in (("raw", ds.features), ("sgc", x_sgc), ("asgc", x_asgc)):
                 model = fit_logistic(corner[split.train], ds.labels[split.train])
                 corner_val = accuracy(

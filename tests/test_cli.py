@@ -193,6 +193,14 @@ def test_aggregate_with_external_reference(toy_manifest, tmp_path):
     assert "bigmodel,reported" in summary
 
 
+def test_aggregate_bad_value_names_file_and_line(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("dataset,method,k_hops,trial,seed,test_accuracy\ntoy,raw,x,0,1,0.5\n")
+    code = main(["aggregate", "--results", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 4
+    assert "bad.csv:2:" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["synth", "--bogus"])

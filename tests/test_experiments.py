@@ -55,7 +55,8 @@ def test_combo_collapses_to_winning_corner():
     x_noise_b = rng.standard_normal(ds.features.shape)
     x_strong = np.eye(2)[ds.labels] * 4 + rng.standard_normal((ds.n, 2)) * 0.05
     x_strong = np.hstack([x_strong, np.zeros((ds.n, ds.features.shape[1] - 2))])
-    model, weights, trial = combo_search(ds, split, x_noise_a, x_noise_b, x_strong, resolution=3)
+    trial = combo_search(ds, split, x_noise_a, x_noise_b, x_strong, resolution=3)
+    weights = trial.chosen_weights
     assert weights.numerators == (0, 0, 3)
     fit_idx = np.concatenate([split.train, split.validation])
     manual = fit_logistic(x_strong[fit_idx], ds.labels[fit_idx])
@@ -84,7 +85,7 @@ def test_combo_validation_dominates_corners():
     x_sgc, x_asgc = (experiments.method_features(ds, m, 3) for m in ("sgc", "asgc"))
     for seed in (0, 1, 2):
         split = make_splits(ds.n, seed=seed)
-        _, _, trial = combo_search(ds, split, ds.features, x_sgc, x_asgc, resolution=3, k_hops=3)
+        trial = combo_search(ds, split, ds.features, x_sgc, x_asgc, resolution=3, k_hops=3)
         y = ds.labels
         for corner in (ds.features, x_sgc, x_asgc):
             model = fit_logistic(corner[split.train], y[split.train])

@@ -5,6 +5,7 @@ import asgc.filters
 from asgc import (
     ComboWeights,
     Graph,
+    GraphError,
     asgc_filter,
     blend,
     least_squares,
@@ -129,6 +130,11 @@ def test_asgc_zero_column_yields_zero():
     assert np.all(res.filtered[:, 0] == 0)
     assert np.all(res.coefficients[0] == 0)
     assert res.residual_norms[0] == 0.0
+
+
+def test_asgc_rejection_names_the_shape_it_got():
+    with pytest.raises(GraphError, match=r"got \(2, 2, 1\)"):
+        asgc_filter(single_edge_graph(), np.ones((2, 2, 1)), 1)
 
 
 def test_asgc_coefficient_count_excludes_power_zero():
@@ -261,7 +267,7 @@ def test_simplex_grid_order_is_lexicographic():
 def test_weights_sum_to_one_exactly():
     for w in simplex_grid(7):
         assert sum(w.numerators) == 7
-        assert w.w_raw + w.w_sgc + w.w_asgc == pytest.approx(1.0, abs=1e-15)
+        assert sum(w.as_floats()) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_invalid_weights_rejected():

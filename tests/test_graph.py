@@ -44,6 +44,23 @@ def test_from_edges_rejects_out_of_range():
         Graph.from_edges(2, [[0, 5]])
 
 
+def test_from_edges_rejects_non_integer_endpoints():
+    with pytest.raises(GraphError):
+        Graph.from_edges(3, [[0.5, 1.7]])
+
+
+def test_from_edges_rejects_negative_node_count():
+    with pytest.raises(GraphError):
+        Graph.from_edges(-1, [])
+
+
+def test_graph_is_its_one_adjacency_csr():
+    g = path_graph(4)
+    assert [f.name for f in dataclasses.fields(Graph)] == ["adjacency"]
+    assert g.adjacency is g.adjacency
+    assert not hasattr(Graph, "__post_init__")
+
+
 def test_normalized_adjacency_single_edge():
     s = normalized_adjacency(single_edge_graph(), add_self_loops=False)
     assert np.array_equal(s.matrix().toarray(), [[0.0, 1.0], [1.0, 0.0]])
@@ -129,6 +146,12 @@ def test_propagate_rejects_wrong_length():
     op = normalized_adjacency(single_edge_graph(), False)
     with pytest.raises(GraphError):
         propagate(op, np.ones(3))
+
+
+def test_propagate_rejection_names_the_shape_it_got():
+    op = normalized_adjacency(triangle_graph(), False)
+    with pytest.raises(GraphError, match=r"got \(3, 3, 1\)"):
+        propagate(op, np.ones((3, 3, 1)))
 
 
 def test_quadratic_form_single_edge():
