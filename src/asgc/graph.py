@@ -33,7 +33,10 @@ class Graph:
         """
         if n < 0:
             raise GraphError(f"node count must be >= 0, got {n}")
-        given = np.asarray(edges)
+        try:
+            given = np.asarray(edges)
+        except ValueError:  # ragged pair list
+            raise GraphError("edges must be an m x 2 array of node ids") from None
         if given.dtype.kind not in "biuf":
             raise GraphError(f"edges must be numeric node ids, got dtype {given.dtype}")
         with np.errstate(invalid="ignore"):  # NaN/inf/overflow then fail the check below

@@ -62,7 +62,9 @@ def test_combo_collapses_to_winning_corner():
     manual = fit_logistic(x_strong[fit_idx], ds.labels[fit_idx])
     want = accuracy(predict(manual, x_strong[split.test]), ds.labels[split.test])
     assert trial.test_accuracy == want
-    assert trial.chosen_weights == weights
+    selected = fit_logistic(x_strong[split.train], ds.labels[split.train])
+    want = accuracy(predict(selected, x_strong[split.validation]), ds.labels[split.validation])
+    assert trial.validation_accuracy == want
 
 
 def test_combo_trains_grid_count_plus_final(monkeypatch):

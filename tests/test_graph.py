@@ -49,6 +49,11 @@ def test_from_edges_rejects_non_integer_endpoints():
         Graph.from_edges(3, [[0.5, 1.7]])
 
 
+def test_from_edges_rejects_ragged_pairs():
+    with pytest.raises(GraphError, match="m x 2"):
+        Graph.from_edges(3, [[0, 1], [2]])
+
+
 def test_from_edges_rejects_negative_node_count():
     with pytest.raises(GraphError):
         Graph.from_edges(-1, [])

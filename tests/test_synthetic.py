@@ -1,6 +1,12 @@
+import dataclasses
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
+from asgc import synthetic
 from asgc import (
     SbmConfig,
     degrees,
@@ -53,6 +59,93 @@ def test_mean_degree_matches_target():
         g, _, _ = generate_sbm(SbmConfig(log_ratio=-2.0, seed=seed))
         means.append(degrees(g).mean())
     assert abs(np.mean(means) - 10.0) <= 1.0
+
+
+def block_pair_counts(g, b):
+    """Undirected edge counts (within A, within B, across) of a two-block graph."""
+    i, j = np.nonzero(np.triu(g.adjacency.toarray(), k=1))
+    return (
+        int(np.sum(j < b)),
+        int(np.sum(i >= b)),
+        int(np.sum((i < b) & (j >= b))),
+    )
+
+
+@pytest.mark.parametrize("log_ratio", [-2.0, 2.0])
+def test_block_pair_edge_counts_match_binomial_means(log_ratio):
+    b = 200
+    cfg = SbmConfig(n_per_block=b, log_ratio=log_ratio)
+    p, q = cfg.edge_probabilities()
+    trials = (math.comb(b, 2), p), (math.comb(b, 2), p), (b * b, q)
+    seeds = range(20)
+    totals = np.zeros(3)
+    for seed in seeds:
+        g, _, _ = generate_sbm(SbmConfig(n_per_block=b, log_ratio=log_ratio, seed=seed))
+        counts = block_pair_counts(g, b)
+        totals += counts
+        for count, (cells, prob) in zip(counts, trials):
+            assert abs(count - cells * prob) <= 4 * math.sqrt(cells * prob * (1 - prob))
+    for total, (cells, prob) in zip(totals, trials):
+        cells *= len(seeds)
+        assert abs(total - cells * prob) <= 4 * math.sqrt(cells * prob * (1 - prob))
+
+
+def test_every_pair_of_a_tiny_sbm_has_its_bernoulli_frequency():
+    # b = 3, p = 1/3, q = 1/6: 6 within-block and 9 cross-block unordered pairs,
+    # each independently Binomial(trials, p or q) under the exact law.
+    cfg = SbmConfig(n_per_block=3, expected_degree=1.5, log_ratio=math.log(2.0))
+    p, q = cfg.edge_probabilities()
+    trials = 2000
+    hits = np.zeros((6, 6))
+    for seed in range(trials):
+        g, _, _ = generate_sbm(dataclasses.replace(cfg, seed=seed))
+        hits += g.adjacency.toarray()
+    i, j = np.triu_indices(6, k=1)
+    prob = np.where((i < 3) == (j < 3), p, q)
+    expected = trials * prob
+    statistic = np.sum((hits[i, j] - expected) ** 2 / (expected * (1 - prob)))
+    assert statistic <= chi2.ppf(0.999, df=len(i))
+
+
+def test_sampler_emits_no_self_loops_or_duplicate_pairs(monkeypatch):
+    # from_edges would silently drop loops and merge duplicates, so check what
+    # the sampler hands it.
+    emitted = []
+    build = synthetic.Graph.from_edges
+
+    def recording(n, edges):
+        emitted.append(np.asarray(edges))
+        return build(n, edges)
+
+    monkeypatch.setattr(synthetic.Graph, "from_edges", staticmethod(recording))
+    for seed in range(5):
+        g, _, _ = generate_sbm(SbmConfig(n_per_block=100, log_ratio=1.0, seed=seed))
+        edges = emitted[-1]
+        assert np.all(edges[:, 0] != edges[:, 1])
+        unordered = np.sort(edges, axis=1)
+        assert len(np.unique(unordered, axis=0)) == len(edges) == g.edge_count
+
+
+def test_generation_at_vanishing_q_and_unit_p():
+    g, _, _ = generate_sbm(SbmConfig(log_ratio=30.0, seed=3))
+    assert block_pair_counts(g, 500)[2] == 0
+    cfg = SbmConfig(n_per_block=4, expected_degree=4.0, log_ratio=40.0, seed=1)
+    assert cfg.edge_probabilities()[0] == 1.0
+    g, _, _ = generate_sbm(cfg)
+    assert block_pair_counts(g, 4) == (6, 6, 0)
+
+
+def test_hundred_thousand_node_sbm_is_sparse_in_time_and_memory():
+    # A dense n x n draw would need n^2 = 1e10 cells; 256 MB is far below.
+    tracemalloc.start()
+    try:
+        g, x, _ = generate_sbm(SbmConfig(n_per_block=50_000, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == x.shape[0] == 100_000
+    assert abs(degrees(g).mean() - 10.0) <= 0.01 * 10.0
+    assert peak < 256 * 2**20
 
 
 def test_denoise_metrics_perfect():
