@@ -38,7 +38,7 @@ def make_toy(name, log_ratio, seed):
 datasets = [make_toy("homophilous", 3.0, seed=1), make_toy("heterophilous", -3.0, seed=2)]
 for ds in datasets:
     print(f"{ds.name}: n={ds.n}, f={ds.features.shape[1]}, "
-          f"classes={ds.num_classes}, homophily={homophily(ds):.2f}")
+          f"classes={ds.labels.max() + 1}, homophily={homophily(ds):.2f}")
 
 methods = ("raw", "sgc", "sgc1", "asgc", "combo")
 trials = 3
@@ -57,7 +57,7 @@ for ds in datasets:
 combo = [r for r in results if r.method == "combo"]
 print("\ncombo blend weights (raw, smoothed, adaptive) per dataset, averaged:")
 for ds in datasets:
-    picks = [r.chosen_weights.as_floats() for r in combo if r.dataset == ds.name]
+    picks = [r.chosen_weights for r in combo if r.dataset == ds.name]
     w = np.mean(picks, axis=0)
     print(f"  {ds.name:14s} ({w[0]:.2f}, {w[1]:.2f}, {w[2]:.2f})")
 

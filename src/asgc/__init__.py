@@ -26,11 +26,9 @@ from .experiments import (
     combo_search,
     k_sweep,
     run_method,
-    split_seed,
 )
 from .filters import (
     AsgcResult,
-    ComboWeights,
     asgc_filter,
     blend,
     sgc_filter,
@@ -54,6 +52,7 @@ from .numeric import (
     least_squares,
     predict,
 )
+from .parallel import spawn_seed
 from .synthetic import (
     DenoiseReport,
     MethodDenoise,
@@ -62,7 +61,6 @@ from .synthetic import (
     denoise_trial,
     generate_sbm,
     run_sweep,
-    trial_seed,
 )
 
 __version__ = "0.1.0"
@@ -70,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregateReport",
     "AsgcResult",
-    "ComboWeights",
     "DatasetError",
     "DenoiseReport",
     "Graph",
@@ -112,6 +109,5 @@ __all__ = [
     "run_sweep",
     "sgc_filter",
     "simplex_grid",
-    "split_seed",
-    "trial_seed",
+    "spawn_seed",
 ]

@@ -141,12 +141,6 @@ def svg_line_chart(path: Path, series, title: str, x_label: str, y_label: str) -
     path.write_text("\n".join(parts) + "\n")
 
 
-def _load_dataset(args):
-    if not args.manifest:
-        raise DatasetError("--manifest is required to load a dataset by name")
-    return load_from_manifest(args.manifest, args.dataset)
-
-
 def cmd_synth(args) -> int:
     ratios = np.linspace(args.log_ratio_min, args.log_ratio_max, args.log_ratio_steps)
     reports = run_sweep(
@@ -177,7 +171,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    ds = _load_dataset(args)
+    ds = load_from_manifest(args.manifest, args.dataset)
     out = Path(args.out)
     stem = f"{ds.name}_{args.method}_k{args.k}"
     if args.method == "sgc":
@@ -209,15 +203,14 @@ def cmd_filter(args) -> int:
 
 def _trial_fields(trial: TrialResult, *extra) -> tuple:
     """One result row: the trial's identity and test accuracy, ``extra``, the combo weights."""
-    weights = trial.chosen_weights.as_floats() if trial.chosen_weights else ("", "", "")
     return (
         trial.dataset, trial.method, trial.k_hops, trial.trial, trial.seed,
-        trial.test_accuracy, *extra, *weights,
+        trial.test_accuracy, *extra, *(trial.chosen_weights or ("", "", "")),
     )
 
 
 def cmd_classify(args) -> int:
-    ds = _load_dataset(args)
+    ds = load_from_manifest(args.manifest, args.dataset)
     results = classification_trials(
         ds,
         args.method,
@@ -231,7 +224,7 @@ def cmd_classify(args) -> int:
     mean_acc = float(np.mean([r.test_accuracy for r in results]))
     val_accs = [r.validation_accuracy for r in results if r.validation_accuracy is not None]
     mean_val = float(np.mean(val_accs)) if val_accs else ""
-    weight_triples = [r.chosen_weights.as_floats() for r in results if r.chosen_weights]
+    weight_triples = [r.chosen_weights for r in results if r.chosen_weights]
     mean_w = tuple(np.mean(weight_triples, axis=0)) if weight_triples else ("", "", "")
     rows.append((ds.name, args.method, args.k, "mean", "", mean_acc, mean_val, *mean_w))
     out = Path(args.out)
@@ -249,7 +242,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    ds = _load_dataset(args)
+    ds = load_from_manifest(args.manifest, args.dataset)
     methods = args.method or list(METHODS)
     results = k_sweep(
         ds,
@@ -375,13 +368,13 @@ def cmd_aggregate(args) -> int:
 def cmd_homophily(args) -> int:
     from .data import homophily
 
-    ds = _load_dataset(args)
+    ds = load_from_manifest(args.manifest, args.dataset)
     print(f"{ds.name}\t{homophily(ds):.6f}")
     return EXIT_OK
 
 
 def _add_dataset_flags(sub):
-    sub.add_argument("--manifest", help="path to a dataset manifest file")
+    sub.add_argument("--manifest", required=True, help="path to a dataset manifest file")
     sub.add_argument("--dataset", required=True, help="dataset name from the manifest")
 
 

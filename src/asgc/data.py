@@ -37,10 +37,6 @@ class LabeledDataset:
     def n(self) -> int:
         return self.graph.n
 
-    @property
-    def num_classes(self) -> int:
-        return int(self.labels.max()) + 1
-
 
 @dataclass(frozen=True, eq=False)
 class SplitSpec:
@@ -172,7 +168,8 @@ def load_manifest(path) -> dict[str, ManifestEntry]:
 
     Fields: ``edges``, ``features``, ``labels`` (paths, resolved relative to
     the manifest's directory) and optional ``nodes`` (expected node count).
-    Blank lines and lines starting with ``#`` are skipped.
+    Every value must be non-empty and no key may repeat. Blank lines and
+    lines starting with ``#`` are skipped.
     """
     path = Path(path)
     base = path.parent
@@ -189,7 +186,12 @@ def load_manifest(path) -> dict[str, ManifestEntry]:
         name, field = key.rsplit(".", 1)
         if field not in ("edges", "features", "labels", "nodes"):
             raise DatasetError(f"{path}:{lineno}: unknown field {field!r}")
-        raw.setdefault(name, {})[field] = value
+        if not value:
+            raise DatasetError(f"{path}:{lineno}: empty value for {key!r}")
+        fields = raw.setdefault(name, {})
+        if field in fields:
+            raise DatasetError(f"{path}:{lineno}: repeated key {key!r}")
+        fields[field] = value
     entries = {}
     for name, fields in raw.items():
         missing = [f for f in ("edges", "features", "labels") if f not in fields]

@@ -28,9 +28,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import LabeledDataset, SplitSpec, make_splits
-from .filters import ComboWeights, asgc_filter, blend, sgc_filter, simplex_grid
+from .filters import asgc_filter, blend, sgc_filter, simplex_grid
 from .numeric import accuracy, fit_logistic, predict
-from .parallel import parallel_map
+from .parallel import parallel_map, spawn_seed
 
 METHODS = ("raw", "sgc", "sgc1", "asgc", "combo")
 K_FREE_METHODS = ("raw", "sgc1")  # their features, and so their results, ignore k_hops
@@ -46,7 +46,7 @@ class TrialResult:
     seed: int
     test_accuracy: float
     validation_accuracy: float | None = None
-    chosen_weights: ComboWeights | None = None
+    chosen_weights: tuple[float, float, float] | None = None
     trial: int = 0
 
 
@@ -130,7 +130,7 @@ def combo_search(
     on train + validation and scored on test.
     """
     y = ds.labels
-    best_weights: ComboWeights | None = None
+    best_weights: tuple[float, float, float] | None = None
     best_val = -np.inf
     for weights in simplex_grid(resolution):
         blended = blend(x_raw, x_sgc, x_asgc, weights)
@@ -153,12 +153,6 @@ def combo_search(
         validation_accuracy=float(best_val),
         chosen_weights=best_weights,
     )
-
-
-def split_seed(seed: int, trial_index: int) -> int:
-    """Derive the split seed for one trial; shared by every method and hop count."""
-    ss = np.random.SeedSequence(seed, spawn_key=(trial_index,))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def classification_trials(
@@ -207,7 +201,7 @@ def k_sweep(
             raise ValueError(f"unknown method {m!r}")
     if len(set(methods)) != len(methods):
         raise ValueError(f"methods must not repeat: {methods}")
-    splits = [make_splits(ds.n, split_seed(seed, t)) for t in range(trials)]
+    splits = [make_splits(ds.n, spawn_seed(seed, t)) for t in range(trials)]
     k_free: dict[tuple[int, str], TrialResult] = {}
 
     def one_trial(t, k, features) -> list[TrialResult]:

@@ -102,52 +102,25 @@ def asgc_filter(g: Graph, x, k_hops: int = 6) -> AsgcResult:
     )
 
 
-@dataclass(frozen=True)
-class ComboWeights:
-    """A convex-combination weight triple on the resolution-R simplex lattice.
-
-    Stored as integer numerators (raw, smoothed, adaptive) over ``resolution``
-    so the weights sum to 1 exactly.
-    """
-
-    numerators: tuple[int, int, int]
-    resolution: int
-
-    def __post_init__(self):
-        if self.resolution < 1:
-            raise ValueError("resolution must be >= 1")
-        if len(self.numerators) != 3 or any(v < 0 for v in self.numerators):
-            raise ValueError("numerators must be three nonnegative integers")
-        if sum(self.numerators) != self.resolution:
-            raise ValueError("numerators must sum to the resolution")
-
-    def as_floats(self) -> tuple[float, float, float]:
-        """(raw, smoothed, adaptive) weights, each numerator over the resolution."""
-        return tuple(v / self.resolution for v in self.numerators)
-
-
-def simplex_grid(resolution: int) -> list[ComboWeights]:
-    """All lattice triples (i, j, k)/R with i + j + k = R, lexicographic order."""
+def simplex_grid(resolution: int) -> list[tuple[float, float, float]]:
+    """All (raw, smoothed, adaptive) weights (i, j, R - i - j) / R, lexicographic in (i, j)."""
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
-    return [
-        ComboWeights((i, j, resolution - i - j), resolution)
-        for i in range(resolution + 1)
-        for j in range(resolution + 1 - i)
-    ]
+    r = resolution
+    return [(i / r, j / r, (r - i - j) / r) for i in range(r + 1) for j in range(r + 1 - i)]
 
 
-def blend(x_raw, x_sgc, x_asgc, weights: ComboWeights) -> np.ndarray:
+def blend(x_raw, x_sgc, x_asgc, weights: tuple[float, float, float]) -> np.ndarray:
     """Elementwise convex combination of three equally-shaped feature matrices.
 
-    At a simplex corner the corresponding input is returned exactly (a copy),
-    avoiding any floating-point perturbation from the zero-weight terms.
+    At a simplex corner (a weight of exactly 1) the corresponding input is
+    returned exactly (a copy), avoiding any floating-point perturbation from
+    the zero-weight terms.
     """
     arrays = [np.asarray(a, dtype=np.float64) for a in (x_raw, x_sgc, x_asgc)]
     if not (arrays[0].shape == arrays[1].shape == arrays[2].shape):
         raise ValueError("blend inputs must share one shape")
-    for numerator, arr in zip(weights.numerators, arrays):
-        if numerator == weights.resolution:
+    for w, arr in zip(weights, arrays):
+        if w == 1.0:
             return arr.copy()
-    w = weights.as_floats()
-    return w[0] * arrays[0] + w[1] * arrays[1] + w[2] * arrays[2]
+    return weights[0] * arrays[0] + weights[1] * arrays[1] + weights[2] * arrays[2]

@@ -70,25 +70,15 @@ class Graph:
     def indices(self) -> np.ndarray:
         return self.adjacency.indices
 
-    @property
-    def edge_count(self) -> int:
-        """Number of undirected edges."""
-        return self.adjacency.nnz // 2
-
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
 
 @dataclass(frozen=True, eq=False)
 class PropagationOperator:
     """A symmetric normalized adjacency, held as the one scipy CSR built for it.
 
-    ``with_self_loops`` records whether the diagonal was augmented before
-    normalization. All eigenvalues lie in [-1, 1].
+    All eigenvalues lie in [-1, 1].
     """
 
     csr: sp.csr_matrix
-    with_self_loops: bool
 
     def matrix(self) -> sp.csr_matrix:
         return self.csr
@@ -117,7 +107,7 @@ def normalized_adjacency(g: Graph, add_self_loops: bool = False) -> PropagationO
     # every stored entry touches two nodes of effective degree >= 1, so the
     # zero-degree convention (all-zero row/column) never divides by zero here
     a.data = a.data / np.sqrt(d[row] * d[a.indices])
-    return PropagationOperator(csr=a, with_self_loops=add_self_loops)
+    return PropagationOperator(csr=a)
 
 
 def propagate(op: PropagationOperator, x: np.ndarray) -> np.ndarray:

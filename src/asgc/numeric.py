@@ -166,20 +166,15 @@ def fit_logistic(x, y, config: LogisticConfig | None = None) -> LogisticModel:
     return LogisticModel(weights=weights, bias=bias, classes=classes)
 
 
-def decision_scores(model: LogisticModel, x) -> np.ndarray:
-    """Linear scores ``x @ W + b`` for a dense or sparse feature matrix."""
+def predict(model: LogisticModel, x) -> np.ndarray:
+    """Most probable class per row; ties break toward the lower class index."""
     x = _as_features(x)
     if x.ndim != 2 or x.shape[1] != model.weights.shape[0]:
         raise ValueError(
             f"feature width {x.shape[1] if x.ndim == 2 else '?'} does not match model "
             f"({model.weights.shape[0]})"
         )
-    return x @ model.weights + model.bias
-
-
-def predict(model: LogisticModel, x) -> np.ndarray:
-    """Most probable class per row; ties break toward the lower class index."""
-    scores = decision_scores(model, x)
+    scores = x @ model.weights + model.bias
     return model.classes[np.argmax(scores, axis=1)]
 
 

@@ -1,12 +1,24 @@
-"""Order-preserving map with optional thread parallelism.
+"""Order-preserving map with optional thread parallelism, and per-item seeds.
 
 Work items must not share mutable state; every experiment item derives its
-own RNG stream from spawn keys, so results are identical for any ``jobs``.
+own RNG stream with :func:`spawn_seed`, so results are identical for any
+``jobs``.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+
+
+def spawn_seed(seed: int, *key: int) -> int:
+    """Seed of the work item at spawn ``key`` (a trial, or a grid point and trial).
+
+    Spawn keys, not arithmetic on the seed, keep the items' streams independent.
+    """
+    ss = np.random.SeedSequence(seed, spawn_key=key)
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def parallel_map(fn, items, jobs: int = 1) -> list:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .filters import asgc_filter, sgc_filter
 from .graph import Graph
-from .parallel import parallel_map
+from .parallel import parallel_map, spawn_seed
 
 METHODS = ("raw", "sgc", "asgc")
 
@@ -128,16 +128,6 @@ class DenoiseReport:
     sign_error: dict[str, float]
 
 
-def trial_seed(seed: int, grid_index: int, trial_index: int) -> int:
-    """Derive the RNG seed for one (grid point, trial) work item.
-
-    Uses a spawn key rather than arithmetic on the seed, so streams stay
-    independent regardless of execution order or parallel scheduling.
-    """
-    ss = np.random.SeedSequence(seed, spawn_key=(grid_index, trial_index))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 def run_sweep(
     log_ratios: Sequence[float],
     trials: int = 10,
@@ -162,7 +152,7 @@ def run_sweep(
         cfg = SbmConfig(
             n_per_block=n_per_block,
             log_ratio=float(log_ratios[gi]),
-            seed=trial_seed(seed, gi, ti),
+            seed=spawn_seed(seed, gi, ti),
         )
         return denoise_trial(cfg, k_hops)
 

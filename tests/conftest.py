@@ -41,7 +41,7 @@ def random_graph(n: int, p: float, rng: np.random.Generator, ensure_min_degree: 
 def dense_adjacency(g: Graph) -> np.ndarray:
     a = np.zeros((g.n, g.n))
     for i in range(g.n):
-        for j in g.neighbors(i):
+        for j in g.adjacency[i].indices:
             a[i, j] = 1.0
     return a
 

@@ -45,10 +45,10 @@ from asgc import (
     predict,
     run_method,
     sgc_filter,
+    spawn_seed,
 )
 from asgc.experiments import method_features
 from asgc.numeric import accuracy
-from asgc.synthetic import trial_seed
 from conftest import random_graph, single_edge_graph, svd_least_squares, toy_dataset
 
 TRIALS = 10
@@ -67,7 +67,7 @@ def extreme_sweep():
     per_rho = {}
     for gi, rho in enumerate((-5.0, 5.0)):
         per_rho[rho] = [
-            denoise_trial(SbmConfig(log_ratio=rho, seed=trial_seed(0, gi, ti)), k_hops=2)
+            denoise_trial(SbmConfig(log_ratio=rho, seed=spawn_seed(0, gi, ti)), k_hops=2)
             for ti in range(TRIALS)
         ]
     return per_rho, time.monotonic() - t0
@@ -82,7 +82,7 @@ def odd_hop_sweep():
     """
     return {
         k: [
-            denoise_trial(SbmConfig(log_ratio=-5.0, seed=trial_seed(0, 0, ti)), k_hops=k)
+            denoise_trial(SbmConfig(log_ratio=-5.0, seed=spawn_seed(0, 0, ti)), k_hops=k)
             for ti in range(TRIALS)
         ]
         for k in (1, 3)
@@ -207,7 +207,7 @@ def test_criterion_5_quadratic_form_identity():
         d = degrees(g).astype(float)
         right = 0.0
         for i in range(n):
-            for j in g.neighbors(i):
+            for j in g.adjacency[i].indices:
                 right += (x[i] / np.sqrt(d[i]) - x[j] / np.sqrt(d[j])) ** 2
         right /= 2.0
         worst = max(worst, abs(left - right) / max(1.0, abs(left), abs(right)))
@@ -258,8 +258,8 @@ def test_criterion_7_combo_validation_dominance():
     for ds in (toy_dataset(seed=1, log_ratio=2.0, name="homo"),
                toy_dataset(seed=2, log_ratio=-2.0, name="hetero")):
         x_sgc, x_asgc = method_features(ds, "sgc", 3), method_features(ds, "asgc", 3)
-        for split_seed_value in (0, 1, 2):
-            split = make_splits(ds.n, seed=split_seed_value)
+        for split_rng_seed in (0, 1, 2):
+            split = make_splits(ds.n, seed=split_rng_seed)
             trial = combo_search(ds, split, ds.features, x_sgc, x_asgc, resolution=3, k_hops=3)
             for corner_name, corner in (("raw", ds.features), ("sgc", x_sgc), ("asgc", x_asgc)):
                 model = fit_logistic(corner[split.train], ds.labels[split.train])
@@ -267,7 +267,7 @@ def test_criterion_7_combo_validation_dominance():
                     predict(model, corner[split.validation]), ds.labels[split.validation]
                 )
                 if trial.validation_accuracy < corner_val:
-                    failures.append((ds.name, split_seed_value, corner_name))
+                    failures.append((ds.name, split_rng_seed, corner_name))
     check(
         "7",
         not failures,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from asgc.cli import main
+from asgc.experiments import METHODS
 
 
 @pytest.fixture
@@ -80,15 +81,16 @@ def test_classify_rows_and_summary(toy_manifest, tmp_path):
     assert lines[-1].split(",")[3] == "mean"
 
 
-def test_classify_deterministic(toy_manifest, tmp_path):
+@pytest.mark.parametrize("method", METHODS)
+def test_classify_deterministic(toy_manifest, tmp_path, method):
     args = [
         "classify", "--manifest", str(toy_manifest), "--dataset", "toy",
-        "--method", "raw", "--trials", "2", "--seed", "5",
+        "--method", method, "--resolution", "1", "--trials", "2", "--seed", "5",
     ]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
     assert main(args + ["--out", str(tmp_path / "b"), "--jobs", "2"]) == 0
-    assert (tmp_path / "a" / "classify_toy_raw.csv").read_bytes() == (
-        tmp_path / "b" / "classify_toy_raw.csv"
+    assert (tmp_path / "a" / f"classify_toy_{method}.csv").read_bytes() == (
+        tmp_path / "b" / f"classify_toy_{method}.csv"
     ).read_bytes()
 
 
@@ -207,6 +209,29 @@ def test_unknown_flag_exits_with_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["filter", "--method", "sgc"],
+        ["classify", "--method", "raw"],
+        ["sweep"],
+        ["homophily"],
+    ],
+)
+def test_dataset_subcommand_without_manifest_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--dataset", "toy"])
+    assert exc.value.code == 2
+    assert "--manifest" in capsys.readouterr().err
+
+
+def test_empty_manifest_value_gives_bad_data_code(toy_manifest, capsys):
+    toy_manifest.write_text("toy.edges =\ntoy.features = toy.features\ntoy.labels = toy.labels\n")
+    code = main(["homophily", "--manifest", str(toy_manifest), "--dataset", "toy"])
+    assert code == 4
+    assert "data.manifest:1: empty value" in capsys.readouterr().err
+
+
 def test_missing_manifest_gives_missing_file_code(tmp_path, capsys):
     code = main(["homophily", "--manifest", str(tmp_path / "nope"), "--dataset", "x"])
     assert code == 3
@@ -231,4 +256,4 @@ def test_help_available_for_every_subcommand(capsys):
         with pytest.raises(SystemExit) as exc:
             main([sub, "--help"])
         assert exc.value.code == 0
-        assert "--help" in capsys.readouterr().out or True
+        assert capsys.readouterr().out.startswith(f"usage: asgc {sub}")

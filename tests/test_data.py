@@ -40,9 +40,9 @@ def test_load_symmetrizes_and_dedupes(tmp_path):
         labels=[0, 1, 1],
     )
     ds = load_dataset(*paths)
-    assert ds.graph.edge_count == 2
+    assert ds.graph.adjacency.nnz // 2 == 2
     assert ds.n == 3
-    assert ds.num_classes == 2
+    assert int(ds.labels.max()) + 1 == 2
 
 
 def test_load_rejects_label_gap(tmp_path):
@@ -226,6 +226,20 @@ def test_manifest_rejects_incomplete_entries(tmp_path):
         load_manifest(manifest)
 
 
+def test_manifest_rejects_empty_value(tmp_path):
+    manifest = tmp_path / "data.manifest"
+    manifest.write_text("a.edges =\na.features = f\na.labels = l\n")
+    with pytest.raises(DatasetError, match=r"data\.manifest:1: empty value for 'a\.edges'"):
+        load_manifest(manifest)
+
+
+def test_manifest_rejects_repeated_key(tmp_path):
+    manifest = tmp_path / "data.manifest"
+    manifest.write_text("a.edges = e\na.features = f\n\na.edges = g\na.labels = l\n")
+    with pytest.raises(DatasetError, match=r"data\.manifest:4: repeated key 'a\.edges'"):
+        load_manifest(manifest)
+
+
 @pytest.mark.parametrize("name", sorted(KNOWN_SHAPES))
 def test_reference_dataset_shapes(name):
     manifest = os.environ.get("ASGC_DATASETS")
@@ -237,6 +251,6 @@ def test_reference_dataset_shapes(name):
         pytest.skip(f"dataset {name!r} not available in the manifest")
     n, edges, f, classes = KNOWN_SHAPES[name]
     assert ds.n == n
-    assert ds.graph.edge_count == edges
+    assert ds.graph.adjacency.nnz // 2 == edges
     assert ds.features.shape[1] == f
-    assert ds.num_classes == classes
+    assert int(ds.labels.max()) + 1 == classes

@@ -17,6 +17,7 @@ from asgc import (
     make_splits,
     predict,
     run_method,
+    spawn_seed,
 )
 from conftest import toy_dataset
 
@@ -57,7 +58,7 @@ def test_combo_collapses_to_winning_corner():
     x_strong = np.hstack([x_strong, np.zeros((ds.n, ds.features.shape[1] - 2))])
     trial = combo_search(ds, split, x_noise_a, x_noise_b, x_strong, resolution=3)
     weights = trial.chosen_weights
-    assert weights.numerators == (0, 0, 3)
+    assert weights == (0.0, 0.0, 1.0)
     fit_idx = np.concatenate([split.train, split.validation])
     manual = fit_logistic(x_strong[fit_idx], ds.labels[fit_idx])
     want = accuracy(predict(manual, x_strong[split.test]), ds.labels[split.test])
@@ -142,7 +143,7 @@ def test_k_sweep_fits_k_free_methods_once_per_trial(monkeypatch):
 
 def test_k_sweep_repeats_the_per_k_result_of_k_free_methods():
     ds = toy_dataset(n_per_block=30)
-    split = make_splits(ds.n, experiments.split_seed(0, 0))
+    split = make_splits(ds.n, spawn_seed(0, 0))
     results = k_sweep(ds, ["sgc1"], k_values=[4, 5], trials=1, seed=0)
     assert [r.k_hops for r in results] == [4, 5]
     for r in results:

@@ -3,7 +3,6 @@ import pytest
 
 import asgc.filters
 from asgc import (
-    ComboWeights,
     Graph,
     GraphError,
     asgc_filter,
@@ -222,7 +221,12 @@ def test_asgc_chunked_propagation_equals_loop_when_rank_deficient():
 def grid_corner(index, resolution=3):
     nums = [0, 0, 0]
     nums[index] = resolution
-    return ComboWeights(tuple(nums), resolution)
+    return tuple(v / resolution for v in nums)
+
+
+def numerators(grid, resolution):
+    """Each weight triple of ``grid`` as integer numerators over ``resolution``."""
+    return [tuple(round(v * resolution) for v in w) for w in grid]
 
 
 def test_blend_corners_return_inputs_exactly():
@@ -237,13 +241,13 @@ def test_blend_equal_weights_is_mean():
     a = np.array([[0.0, 3.0], [6.0, 9.0]])
     b = np.array([[3.0, 6.0], [9.0, 0.0]])
     c = np.array([[6.0, 9.0], [0.0, 3.0]])
-    out = blend(a, b, c, ComboWeights((1, 1, 1), 3))
+    out = blend(a, b, c, (1 / 3, 1 / 3, 1 / 3))
     np.testing.assert_allclose(out, (a + b + c) / 3.0, atol=1e-12)
 
 
 def test_blend_rejects_shape_mismatch():
     with pytest.raises(ValueError):
-        blend(np.ones((2, 2)), np.ones((2, 2)), np.ones((3, 2)), ComboWeights((1, 1, 1), 3))
+        blend(np.ones((2, 2)), np.ones((2, 2)), np.ones((3, 2)), (1 / 3, 1 / 3, 1 / 3))
 
 
 def test_simplex_grid_counts_and_membership():
@@ -251,29 +255,37 @@ def test_simplex_grid_counts_and_membership():
     assert len(simplex_grid(2)) == 6
     grid3 = simplex_grid(3)
     assert len(grid3) == 10
-    triples = [w.numerators for w in grid3]
+    triples = numerators(grid3, 3)
     assert (1, 1, 1) in triples
     for corner in ((3, 0, 0), (0, 3, 0), (0, 0, 3)):
         assert corner in triples
-    assert (1, 1, 0) in [w.numerators for w in simplex_grid(2)]
+    assert (1, 1, 0) in numerators(simplex_grid(2), 2)
 
 
 def test_simplex_grid_order_is_lexicographic():
-    triples = [w.numerators for w in simplex_grid(2)]
+    triples = numerators(simplex_grid(2), 2)
     assert triples == sorted(triples)
     assert triples[0] == (0, 0, 2)
 
 
 def test_weights_sum_to_one_exactly():
-    for w in simplex_grid(7):
-        assert sum(w.numerators) == 7
-        assert sum(w.as_floats()) == pytest.approx(1.0, abs=1e-15)
+    grid = simplex_grid(7)
+    assert grid == [tuple(v / 7 for v in t) for t in numerators(grid, 7)]
+    for t in numerators(grid, 7):
+        assert sum(t) == 7 and min(t) >= 0
+    for w in grid:
+        assert sum(w) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_only_the_corners_carry_a_unit_weight():
+    # blend returns an input unchanged exactly when its weight is 1.0
+    for resolution in range(1, 100):
+        corners = [w for w in simplex_grid(resolution) if 1.0 in w]
+        assert corners == [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)]
 
 
 def test_invalid_weights_rejected():
     with pytest.raises(ValueError):
-        ComboWeights((1, 1, 2), 3)
-    with pytest.raises(ValueError):
-        ComboWeights((-1, 2, 2), 3)
-    with pytest.raises(ValueError):
         simplex_grid(0)
+    with pytest.raises(ValueError):
+        simplex_grid(-2)

@@ -37,12 +37,12 @@ def test_from_edges_builds_a_symmetric_canonical_loop_free_0_1_csr(case):
     assert isinstance(a, sp.csr_matrix) and a.shape == (n, n)
     assert a.has_canonical_format
     for i in range(n):
-        assert np.all(np.diff(g.neighbors(i)) > 0)
+        assert np.all(np.diff(a.indices[a.indptr[i] : a.indptr[i + 1]]) > 0)
     assert (a != a.T).nnz == 0
     assert not a.diagonal().any()
     assert np.all(a.data == 1.0)
     distinct = {frozenset(p) for p in edges if p[0] != p[1]}
-    assert g.edge_count == len(distinct)
+    assert a.nnz // 2 == len(distinct)
     want = np.zeros((n, n))
     for i, j in map(tuple, distinct):
         want[i, j] = want[j, i] = 1.0
