@@ -373,6 +373,17 @@ def cmd_homophily(args) -> int:
     return EXIT_OK
 
 
+def _jobs(text: str) -> int:
+    """``--jobs``: a thread count of at least 1, else a usage error."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def _add_dataset_flags(sub):
     sub.add_argument("--manifest", required=True, help="path to a dataset manifest file")
     sub.add_argument("--dataset", required=True, help="dataset name from the manifest")
@@ -393,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--log-ratio-max", type=float, default=5.0)
     synth.add_argument("--log-ratio-steps", type=int, default=21)
     synth.add_argument("--out", default=".", help="output directory")
-    synth.add_argument("--jobs", type=int, default=1, help="worker threads")
+    synth.add_argument("--jobs", type=_jobs, default=1, help="worker threads")
     synth.set_defaults(func=cmd_synth)
 
     filt = subparsers.add_parser("filter", help="write filtered features for a dataset")
@@ -411,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument("--trials", type=int, default=10)
     classify.add_argument("--seed", type=int, default=0)
     classify.add_argument("--out", default=".")
-    classify.add_argument("--jobs", type=int, default=1)
+    classify.add_argument("--jobs", type=_jobs, default=1)
     classify.set_defaults(func=cmd_classify)
 
     sweep = subparsers.add_parser("sweep", help="hop-count sweep across methods")

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import Graph, GraphError, degrees
 
@@ -28,9 +29,18 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
+    """A graph with one feature row and one integer label per node.
+
+    ``features`` is an n x f dense array or scipy CSR matrix; the filters and
+    the classifier take either form. :func:`load_dataset` returns CSR, which
+    stays CSR from load to fit, so mostly-zero bag-of-words features cost
+    memory in their nonzeros (a fully dense file costs 12 bytes per value
+    instead of 8). ``combo`` densifies it once per search.
+    """
+
     name: str
     graph: Graph
-    features: np.ndarray
+    features: np.ndarray | sp.csr_matrix
     labels: np.ndarray
 
     @property
@@ -125,9 +135,9 @@ def load_dataset(edge_path, feature_path, label_path, name: str | None = None) -
 
     The edge list is symmetrized (both directions included), duplicates are
     collapsed, and self-loops dropped. Labels must use every class in
-    0..L-1 at least once.
+    0..L-1 at least once. Features are returned as a scipy CSR matrix.
     """
-    features = _read_features(feature_path)
+    features = sp.csr_matrix(_read_features(feature_path))
     labels = _read_labels(label_path)
     n = features.shape[0]
     if labels.shape[0] != n:

@@ -54,7 +54,8 @@ def method_features(ds: LabeledDataset, method: str, k_hops: int) -> np.ndarray 
     """The feature matrix a non-combo method trains on at hop count ``k_hops``.
 
     ``raw`` is a scipy CSR matrix, so the classifier's cost follows the
-    nonzeros. ``combo`` blends the dense ``ds.features`` with the ``sgc`` and
+    nonzeros; CSR ``ds.features`` are used as they are, without a copy.
+    ``combo`` blends a dense form of ``ds.features`` with the ``sgc`` and
     ``asgc`` matrices and has no matrix of its own.
     """
     if method == "raw":
@@ -116,7 +117,7 @@ def run_method(
 def combo_search(
     ds: LabeledDataset,
     split: SplitSpec,
-    x_raw: np.ndarray,
+    x_raw: np.ndarray | sp.csr_matrix,
     x_sgc: np.ndarray,
     x_asgc: np.ndarray,
     resolution: int = 3,
@@ -127,8 +128,11 @@ def combo_search(
     Every simplex lattice triple is tried in deterministic grid order; a
     strictly better validation accuracy is required to displace the incumbent,
     so ties resolve to the first maximum seen. The winning blend is retrained
-    on train + validation and scored on test.
+    on train + validation and scored on test. A sparse ``x_raw`` is densified
+    once, here, for every blend of the search.
     """
+    if sp.issparse(x_raw):
+        x_raw = x_raw.toarray()
     y = ds.labels
     best_weights: tuple[float, float, float] | None = None
     best_val = -np.inf

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import Graph, GraphError, normalized_adjacency, propagate
 from .numeric import least_squares
@@ -26,12 +27,13 @@ def sgc_filter(g: Graph, x, k_hops: int = 6) -> np.ndarray:
     """Apply the self-loop propagation operator ``k_hops`` times.
 
     The K-th operator power is never materialized; the features are propagated
-    repeatedly. Accepts a vector (n,) or matrix (n, f) and preserves the shape.
+    repeatedly. Accepts a vector (n,) or matrix (n, f), dense or scipy sparse,
+    and returns a dense array of the same shape.
     """
     if k_hops < 1:
         raise ValueError("k_hops must be >= 1")
     op = normalized_adjacency(g, add_self_loops=True)
-    out = np.asarray(x, dtype=np.float64)
+    out = np.asarray(x.toarray() if sp.issparse(x) else x, dtype=np.float64)
     for _ in range(k_hops):
         out = propagate(op, out)
     return out
@@ -64,11 +66,12 @@ def asgc_filter(g: Graph, x, k_hops: int = 6) -> AsgcResult:
     Nonzero columns are propagated :data:`ASGC_CHUNK` at a time, one
     :func:`propagate` call per hop; each column of that product equals its
     own sparse-vector product bit for bit, so the chunk size never changes
-    the output.
+    the output. A scipy sparse ``x`` is read in CSC form, one dense
+    n x chunk slice at a time, and gives the bits of its dense form.
     """
     if k_hops < 1:
         raise ValueError("k_hops must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
+    x = sp.csc_matrix(x, dtype=np.float64) if sp.issparse(x) else np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     cols = x[:, None] if single else x
     if cols.ndim != 2 or cols.shape[0] != g.n:
@@ -78,10 +81,10 @@ def asgc_filter(g: Graph, x, k_hops: int = 6) -> AsgcResult:
     filtered = np.zeros((n, f))
     coefficients = np.zeros((f, k_hops))
     residual_norms = np.zeros(f)
-    live = np.flatnonzero(cols.any(axis=0))
+    live = _nonzero_columns(cols)
     for start in range(0, len(live), ASGC_CHUNK):
         idx = live[start : start + ASGC_CHUNK]
-        t = cols[:, idx]
+        t = cols[:, idx].toarray() if sp.issparse(cols) else cols[:, idx]
         targets = t.T.copy()
         # bases[c] is column idx[c]'s C-ordered n x K Krylov basis
         bases = np.empty((len(idx), n, k_hops))
@@ -100,6 +103,14 @@ def asgc_filter(g: Graph, x, k_hops: int = 6) -> AsgcResult:
         coefficients=coefficients,
         residual_norms=residual_norms,
     )
+
+
+def _nonzero_columns(cols) -> np.ndarray:
+    """Ascending indices of the columns holding a nonzero; a stored zero is a zero."""
+    if not sp.issparse(cols):
+        return np.flatnonzero(cols.any(axis=0))
+    stored_col = np.repeat(np.arange(cols.shape[1]), np.diff(cols.indptr))
+    return np.unique(stored_col[cols.data != 0])
 
 
 def simplex_grid(resolution: int) -> list[tuple[float, float, float]]:

@@ -56,6 +56,20 @@ def test_synth_output_is_byte_identical_across_runs(tmp_path):
     assert a == b
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("subcommand", ["synth", "classify"])
+def test_jobs_below_one_is_a_usage_error(toy_manifest, tmp_path, capsys, subcommand, jobs):
+    out = tmp_path / "out"
+    args = [subcommand, "--jobs", jobs, "--out", str(out)]
+    if subcommand == "classify":
+        args += ["--manifest", str(toy_manifest), "--dataset", "toy", "--method", "raw"]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_homophily_prints_value(toy_manifest, capsys):
     code = main(["homophily", "--manifest", str(toy_manifest), "--dataset", "toy"])
     assert code == 0

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from asgc import (
     DatasetError,
@@ -43,6 +44,15 @@ def test_load_symmetrizes_and_dedupes(tmp_path):
     assert ds.graph.adjacency.nnz // 2 == 2
     assert ds.n == 3
     assert int(ds.labels.max()) + 1 == 2
+
+
+def test_load_returns_features_as_csr_of_the_file_nonzeros(tmp_path):
+    rows = [[0.0, 1.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [2.0, 0.0, -0.0, 3.0]]
+    paths = write_dataset(tmp_path, edges=[(0, 1)], features=rows, labels=[0, 1, 1])
+    ds = load_dataset(*paths)
+    assert isinstance(ds.features, sp.csr_matrix)
+    assert ds.features.nnz == np.count_nonzero(rows) == 3
+    assert np.array_equal(ds.features.toarray(), rows)
 
 
 def test_load_rejects_label_gap(tmp_path):

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import asgc.filters
 from asgc import (
@@ -208,6 +211,43 @@ def test_asgc_hops_are_propagate_calls(monkeypatch):
     monkeypatch.setattr(asgc.filters, "propagate", counting)
     asgc_filter(g, x, 4)
     assert shapes == [(41, 16)] * 8 + [(41, 4)] * 4
+
+
+def test_asgc_reads_sparse_input_by_chunk_and_skips_stored_zero_columns(monkeypatch):
+    g, x = block_test_case()
+    csc = sp.csc_matrix(x)
+    csc.data[csc.indptr[7] : csc.indptr[8]] = 0.0  # column 7 holds only stored zeros
+    shapes, lstsq_calls = [], []
+    real_propagate, real_lstsq = asgc.filters.propagate, asgc.filters.least_squares
+
+    def counting(op, t):
+        shapes.append(t.shape)
+        return real_propagate(op, t)
+
+    def counting_lstsq(basis, target):
+        lstsq_calls.append(basis.shape)
+        return real_lstsq(basis, target)
+
+    monkeypatch.setattr(asgc.filters, "propagate", counting)
+    monkeypatch.setattr(asgc.filters, "least_squares", counting_lstsq)
+    asgc_filter(g, csc.tocsr(), 4)
+    assert shapes == [(41, 16)] * 8 + [(41, 3)] * 4  # 35 live columns
+    assert lstsq_calls == [(41, 4)] * 35
+
+
+def test_asgc_on_sparse_features_allocates_no_dense_copy_of_them():
+    rng = np.random.default_rng(3)
+    n, f = 2000, 1000
+    g = Graph.from_edges(n, rng.integers(0, n, size=(4 * n, 2)))
+    x = sp.random(n, f, density=0.01, format="csr", random_state=rng)
+    tracemalloc.start()
+    try:
+        result = asgc_filter(g, x, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dense_bytes = n * f * 8
+    assert peak < result.filtered.nbytes + dense_bytes / 2
 
 
 def test_asgc_chunked_propagation_equals_loop_when_rank_deficient():
