@@ -251,6 +251,7 @@ def cmd_sweep(args) -> int:
         trials=args.trials,
         seed=args.seed,
         resolution=args.resolution,
+        jobs=args.jobs,
     )
     rows = [_trial_fields(trial) for trial in results]
     out = Path(args.out)
@@ -437,6 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trials", type=int, default=10)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--out", default=".")
+    sweep.add_argument("--jobs", type=_jobs, default=1)
     sweep.set_defaults(func=cmd_sweep)
 
     agg = subparsers.add_parser("aggregate", help="proportional-accuracy report from result CSVs")

@@ -200,6 +200,8 @@ def k_sweep(
         raise ValueError("trials must be >= 1")
     if min(k_values) < 1:
         raise ValueError("k_hops must be >= 1")
+    if "combo" in methods and resolution < 1:
+        raise ValueError("resolution must be >= 1")
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")

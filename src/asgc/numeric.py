@@ -14,6 +14,10 @@ The objective forms its two dense products as ``(W^T X^T)^T`` and
 products as before. The scores are made C-ordered before the log-sum-exp,
 whose reduction order follows the memory layout, so dense and CSR scores are
 reduced in the same order.
+
+``scipy.optimize`` (and with it ``scipy.special``) is imported by the first
+:func:`fit_logistic` call, not with this module: it takes ~0.3 s and ~28 MB
+to load, and only a fit uses it, so commands that never train do not pay it.
 """
 
 from __future__ import annotations
@@ -22,9 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse
-from scipy.special import logsumexp
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +107,8 @@ def softmax_objective(params, x, y_index, n_classes, l2_strength):
     The cross-entropy term is averaged per sample, so duplicating every row
     of the training set leaves the objective (and the fitted model) unchanged.
     """
+    from scipy.special import logsumexp
+
     n, f = x.shape
     w = params[: f * n_classes].reshape(f, n_classes)
     b = params[f * n_classes :]
@@ -135,6 +139,8 @@ def fit_logistic(x, y, config: LogisticConfig | None = None) -> LogisticModel:
     ``RuntimeWarning`` carrying the optimizer's message is emitted and the
     last iterate is returned.
     """
+    import scipy.optimize
+
     config = config or LogisticConfig()
     x = _as_features(x)
     y = np.asarray(y)

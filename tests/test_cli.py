@@ -1,4 +1,9 @@
+import ast
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,11 +62,11 @@ def test_synth_output_is_byte_identical_across_runs(tmp_path):
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
-@pytest.mark.parametrize("subcommand", ["synth", "classify"])
+@pytest.mark.parametrize("subcommand", ["synth", "classify", "sweep"])
 def test_jobs_below_one_is_a_usage_error(toy_manifest, tmp_path, capsys, subcommand, jobs):
     out = tmp_path / "out"
     args = [subcommand, "--jobs", jobs, "--out", str(out)]
-    if subcommand == "classify":
+    if subcommand != "synth":
         args += ["--manifest", str(toy_manifest), "--dataset", "toy", "--method", "raw"]
     with pytest.raises(SystemExit) as exc:
         main(args)
@@ -119,6 +124,24 @@ def test_zero_trials_gives_bad_data_code(toy_manifest, tmp_path, subcommand):
 
 
 @pytest.mark.parametrize(
+    "subcommand, methods",
+    [("classify", ["--method", "combo"]), ("sweep", ["--method", "raw", "--method", "combo"])],
+)
+def test_combo_resolution_below_one_fails_before_filtering(
+    toy_manifest, tmp_path, monkeypatch, subcommand, methods
+):
+    def no_filtering(*args, **kwargs):
+        pytest.fail("features were filtered before --resolution was checked")
+
+    monkeypatch.setattr("asgc.experiments.sgc_filter", no_filtering)
+    monkeypatch.setattr("asgc.experiments.asgc_filter", no_filtering)
+    out = tmp_path / "out"
+    args = [subcommand, "--manifest", str(toy_manifest), "--dataset", "toy", "--resolution", "0"]
+    assert main(args + methods + ["--out", str(out)]) == 4
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
     "subcommand, hops", [("classify", ["--k", "0"]), ("sweep", ["--k-min", "0", "--k-max", "1"])]
 )
 def test_zero_hops_gives_bad_data_code_for_k_free_method(toy_manifest, tmp_path, subcommand, hops):
@@ -169,6 +192,17 @@ def test_sweep_and_aggregate_round_trip(toy_manifest, tmp_path):
     assert len(summary) == 1 + 2
     datasets_csv = (out / "aggregate_datasets.csv").read_text().splitlines()
     assert datasets_csv[0] == "dataset,method,source,mean_accuracy,std_accuracy,proportion"
+
+
+def test_sweep_output_is_byte_identical_across_jobs(toy_manifest, tmp_path):
+    args = [
+        "sweep", "--manifest", str(toy_manifest), "--dataset", "toy",
+        "--k-min", "1", "--k-max", "2", "--resolution", "1", "--trials", "2", "--seed", "5",
+    ]
+    assert main(args + ["--out", str(tmp_path / "a"), "--jobs", "1"]) == 0
+    assert main(args + ["--out", str(tmp_path / "b"), "--jobs", "2"]) == 0
+    for name in ("sweep_toy.csv", "sweep_toy.svg"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_sweep_svg_escapes_markup_in_dataset_name(toy_manifest, tmp_path):
@@ -271,3 +305,50 @@ def test_help_available_for_every_subcommand(capsys):
             main([sub, "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: asgc {sub}")
+
+
+def _fresh_python(args):
+    """Run ``python args`` in a new interpreter that imports asgc from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_only_a_fit_imports_the_optimizer(tmp_path):
+    script = f"""
+import sys
+OUT = {str(tmp_path)!r}
+import asgc.cli
+from asgc.numeric import fit_logistic
+
+def loaded():
+    return [m for m in ("scipy.optimize", "scipy.special") if m in sys.modules]
+
+states = [loaded()]
+asgc.cli.main(["synth", "--k", "2", "--trials", "1", "--log-ratio-steps", "2", "--out", OUT])
+states.append(loaded())
+fit_logistic([[0.0], [1.0]], [0, 1])
+states.append(loaded())
+print(states)
+"""
+    run = _fresh_python(["-c", script])
+    assert run.returncode == 0, run.stderr
+    after_import, after_synth, after_fit = ast.literal_eval(run.stdout.splitlines()[-1])
+    assert after_import == []
+    assert after_synth == []
+    assert after_fit == ["scipy.optimize", "scipy.special"]
+
+
+def test_concurrent_first_fits_in_a_fresh_process_match_one_job(toy_manifest, tmp_path):
+    args = [
+        "-m", "asgc", "classify", "--manifest", str(toy_manifest), "--dataset", "toy",
+        "--method", "combo", "--resolution", "1", "--trials", "2", "--seed", "5",
+    ]
+    for jobs in ("1", "2"):
+        run = _fresh_python(args + ["--jobs", jobs, "--out", str(tmp_path / jobs)])
+        assert run.returncode == 0, run.stderr
+    assert (tmp_path / "1" / "classify_toy_combo.csv").read_bytes() == (
+        tmp_path / "2" / "classify_toy_combo.csv"
+    ).read_bytes()
