@@ -27,6 +27,7 @@ from .experiments import (
     METHODS,
     TrialResult,
     aggregate,
+    check_sweep,
     classification_trials,
     k_sweep,
 )
@@ -210,6 +211,7 @@ def _trial_fields(trial: TrialResult, *extra) -> tuple:
 
 
 def cmd_classify(args) -> int:
+    check_sweep([args.method], [args.k], args.trials, args.resolution)
     ds = load_from_manifest(args.manifest, args.dataset)
     results = classification_trials(
         ds,
@@ -242,8 +244,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    ds = load_from_manifest(args.manifest, args.dataset)
     methods = args.method or list(METHODS)
+    check_sweep(methods, range(args.k_min, args.k_max + 1), args.trials, args.resolution)
+    ds = load_from_manifest(args.manifest, args.dataset)
     results = k_sweep(
         ds,
         methods,
@@ -375,7 +378,7 @@ def cmd_homophily(args) -> int:
 
 
 def _jobs(text: str) -> int:
-    """``--jobs``: a thread count of at least 1, else a usage error."""
+    """``--jobs``: a worker-process count of at least 1, else a usage error."""
     try:
         jobs = int(text)
     except ValueError:
@@ -405,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--log-ratio-max", type=float, default=5.0)
     synth.add_argument("--log-ratio-steps", type=int, default=21)
     synth.add_argument("--out", default=".", help="output directory")
-    synth.add_argument("--jobs", type=_jobs, default=1, help="worker threads")
+    synth.add_argument("--jobs", type=_jobs, default=1, help="worker processes")
     synth.set_defaults(func=cmd_synth)
 
     filt = subparsers.add_parser("filter", help="write filtered features for a dataset")

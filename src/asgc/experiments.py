@@ -16,7 +16,7 @@ same 80% of labels before testing.
 
 There is one trial loop, :func:`k_sweep`; :func:`classification_trials` is a
 sweep of one hop count. ``jobs`` spreads each hop count's trials over a
-thread pool without changing any result.
+process pool without changing any result.
 """
 
 from __future__ import annotations
@@ -172,6 +172,25 @@ def classification_trials(
     return k_sweep(ds, [method], [k_hops], trials, seed, resolution, jobs)
 
 
+def check_sweep(
+    methods: Sequence[str], k_values: Sequence[int], trials: int, resolution: int
+) -> None:
+    """Raise ``ValueError`` for arguments :func:`k_sweep` cannot run, before any work."""
+    if not methods or not k_values:
+        raise ValueError("methods and k_values must be nonempty")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if min(k_values) < 1:
+        raise ValueError("k_hops must be >= 1")
+    if "combo" in methods and resolution < 1:
+        raise ValueError("resolution must be >= 1")
+    for m in methods:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}")
+    if len(set(methods)) != len(methods):
+        raise ValueError(f"methods must not repeat: {methods}")
+
+
 def k_sweep(
     ds: LabeledDataset,
     methods: Sequence[str] = METHODS,
@@ -188,25 +207,16 @@ def k_sweep(
     The k-independent methods (:data:`K_FREE_METHODS`) are trained once per
     trial, and that result is repeated under every hop count.
 
-    Each hop count's trials run through :func:`parallel_map`. Splits derive
-    from (seed, trial index) and a trial's k-free results are written only by
-    that trial's work item, so the results do not depend on ``jobs``.
+    Each hop count's trials run through :func:`parallel_map` and return their
+    rows; no work item writes shared state. Splits derive from (seed, trial
+    index), and after the first hop count the caller keeps each trial's k-free
+    results from the rows returned, so the results do not depend on ``jobs``.
     """
     methods = list(methods)
     k_values = list(k_values)
-    if not methods or not k_values:
-        raise ValueError("methods and k_values must be nonempty")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if min(k_values) < 1:
-        raise ValueError("k_hops must be >= 1")
-    if "combo" in methods and resolution < 1:
-        raise ValueError("resolution must be >= 1")
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}")
-    if len(set(methods)) != len(methods):
-        raise ValueError(f"methods must not repeat: {methods}")
+    check_sweep(methods, k_values, trials, resolution)
+    if jobs > 1:
+        import scipy.optimize  # noqa: F401  # once here, not again in every forked worker
     splits = [make_splits(ds.n, spawn_seed(seed, t)) for t in range(trials)]
     k_free: dict[tuple[int, str], TrialResult] = {}
 
@@ -216,8 +226,6 @@ def k_sweep(
             result = k_free.get((t, m))
             if result is None:
                 result = replace(run_method(ds, splits[t], m, k, resolution, features), trial=t)
-                if m in K_FREE_METHODS:
-                    k_free[t, m] = result
             row.append(replace(result, k_hops=k))
         return row
 
@@ -227,6 +235,9 @@ def k_sweep(
         features = None  # free the previous hop count's matrices before building the next
         features = _features(ds, need, k)
         rows = parallel_map(lambda t: one_trial(t, k, features), range(trials), jobs)
+        if i == 0:  # later hop counts repeat these instead of retraining
+            k_free = {(r.trial, r.method): r for row in rows for r in row
+                      if r.method in K_FREE_METHODS}
         results.extend(r for row in rows for r in row)
     return results
 

@@ -139,7 +139,7 @@ def run_sweep(
     """Average denoising metrics over trials for each log-ratio grid point.
 
     Trials and grid points are independent work items; with ``jobs > 1`` they
-    run on a thread pool, and results are identical to the sequential order
+    run on a process pool, and results are identical to the sequential order
     because every item derives its own RNG stream from (seed, grid, trial).
     """
     if len(log_ratios) == 0:

@@ -1,4 +1,5 @@
 import ast
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -47,6 +48,17 @@ def test_synth_writes_expected_grid(tmp_path):
     assert len(lines) == 1 + 3 * 3 * 2  # grid x methods x metrics
     assert (out / "synth_rms_deviation.svg").exists()
     assert (out / "synth_sign_error.svg").exists()
+
+
+def test_failing_synth_item_exits_4_and_leaves_no_worker(tmp_path, monkeypatch, capsys):
+    def broken(cfg, k_hops):
+        raise ValueError("broken trial")
+
+    monkeypatch.setattr("asgc.synthetic.denoise_trial", broken)
+    args = ["synth", "--k", "1", "--trials", "2", "--log-ratio-steps", "2", "--jobs", "2"]
+    assert main(args + ["--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == "error: broken trial\n"
+    assert multiprocessing.active_children() == []
 
 
 def test_synth_output_is_byte_identical_across_runs(tmp_path):
@@ -139,6 +151,28 @@ def test_combo_resolution_below_one_fails_before_filtering(
     args = [subcommand, "--manifest", str(toy_manifest), "--dataset", "toy", "--resolution", "0"]
     assert main(args + methods + ["--out", str(out)]) == 4
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "--method", "raw", "--trials", "0"], "trials must be >= 1"),
+        (["sweep", "--k-min", "0"], "k_hops must be >= 1"),
+        (["classify", "--method", "combo", "--resolution", "0"], "resolution must be >= 1"),
+    ],
+)
+def test_bad_protocol_arguments_fail_before_the_dataset_loads(
+    tmp_path, monkeypatch, capsys, argv, message
+):
+    def no_load(*args, **kwargs):
+        pytest.fail("the dataset was loaded before the protocol arguments were checked")
+
+    monkeypatch.setattr("asgc.cli.load_from_manifest", no_load)
+    out = tmp_path / "out"
+    dataset = ["--manifest", str(tmp_path / "data.manifest"), "--dataset", "toy"]
+    assert main(argv + dataset + ["--out", str(out)]) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -307,11 +341,14 @@ def test_help_available_for_every_subcommand(capsys):
         assert capsys.readouterr().out.startswith(f"usage: asgc {sub}")
 
 
-def _fresh_python(args):
-    """Run ``python args`` in a new interpreter that imports asgc from this checkout."""
+def _fresh_python(args, **env):
+    """Run ``python args`` in a new interpreter that imports asgc from this checkout.
+
+    ``env`` adds or overrides environment variables of that interpreter.
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
     return subprocess.run(
-        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=src),
+        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=src, **env),
         capture_output=True, text=True, timeout=120,
     )
 
@@ -352,3 +389,16 @@ def test_concurrent_first_fits_in_a_fresh_process_match_one_job(toy_manifest, tm
     assert (tmp_path / "1" / "classify_toy_combo.csv").read_bytes() == (
         tmp_path / "2" / "classify_toy_combo.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("method", ["sgc", "asgc", "combo"])
+def test_classify_bytes_do_not_depend_on_blas_threads(toy_manifest, tmp_path, method):
+    args = [
+        "-m", "asgc", "classify", "--manifest", str(toy_manifest), "--dataset", "toy",
+        "--method", method, "--resolution", "1", "--trials", "2", "--seed", "5", "--jobs", "2",
+    ]
+    for threads in ("1", "2"):
+        run = _fresh_python(args + ["--out", str(tmp_path / threads)], OPENBLAS_NUM_THREADS=threads)
+        assert run.returncode == 0, run.stderr
+    name = f"classify_toy_{method}.csv"
+    assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()

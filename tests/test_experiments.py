@@ -1,4 +1,5 @@
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -139,6 +140,26 @@ def test_k_sweep_fits_k_free_methods_once_per_trial(monkeypatch):
             same = [r for r in results if r.method == method and r.seed == seed]
             assert sorted(r.k_hops for r in same) == [1, 2, 3]
             assert len({r.test_accuracy for r in same}) == 1
+
+
+def test_k_sweep_trains_k_free_methods_once_per_trial_at_two_jobs(monkeypatch, tmp_path):
+    ds = toy_dataset(n_per_block=30)
+    log = tmp_path / "calls.txt"
+    real = experiments.run_method
+
+    def logged(ds, split, method, *args, **kwargs):
+        with open(log, "a") as fh:  # forked workers inherit this wrapper; a file sees their calls
+            fh.write(method + "\n")
+        return real(ds, split, method, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_method", logged)
+    args = (ds, ["raw", "sgc1", "asgc"], [1, 2, 3])
+    par = k_sweep(*args, trials=3, jobs=2)
+    counts = Counter(log.read_text().split())
+    assert counts == {"raw": 3, "sgc1": 3, "asgc": 9}
+    log.unlink()
+    assert k_sweep(*args, trials=3, jobs=1) == par
+    assert Counter(log.read_text().split()) == counts
 
 
 def test_k_sweep_repeats_the_per_k_result_of_k_free_methods():
