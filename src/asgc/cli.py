@@ -196,7 +196,7 @@ def cmd_filter(args) -> int:
     write_csv(
         csv_path,
         ("node",) + tuple(f"f{i}" for i in range(f_count)),
-        [(i, *map(float, filtered[i])) for i in range(filtered.shape[0])],
+        ((i, *filtered[i].tolist()) for i in range(filtered.shape[0])),
     )
     print(f"wrote {csv_path}")
     return EXIT_OK
@@ -282,51 +282,58 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _read_trial_rows(path: Path, k_filter: int | None) -> list[TrialResult]:
-    rows = []
+def _csv_rows(path: Path, required: set[str]):
+    """Yield each row of a CSV as ``(line number, row)``, once its header holds ``required``."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        required = {"dataset", "method", "k_hops", "trial", "test_accuracy"}
         missing = required - set(reader.fieldnames or ())
         if missing:
             raise DatasetError(f"{path}: missing columns {sorted(missing)}")
         for row in reader:
-            if row["trial"] == "mean":
+            yield reader.line_num, row
+
+
+def _fraction(text: str) -> float:
+    """An accuracy read from a CSV: a float in [0, 1]."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"accuracy must be a fraction in [0, 1], got {text}")
+    return value
+
+
+def _read_trial_rows(path: Path, k_filter: int | None) -> list[TrialResult]:
+    rows = []
+    for lineno, row in _csv_rows(path, {"dataset", "method", "k_hops", "trial", "test_accuracy"}):
+        if row["trial"] == "mean":
+            continue
+        try:
+            k_hops = int(row["k_hops"])
+            if k_filter is not None and k_hops != k_filter:
                 continue
-            try:
-                k_hops = int(row["k_hops"])
-                if k_filter is not None and k_hops != k_filter:
-                    continue
-                seed = int(row["seed"]) if row.get("seed") else 0
-                test_accuracy = float(row["test_accuracy"])
-            except (TypeError, ValueError) as exc:
-                raise DatasetError(f"{path}:{reader.line_num}: {exc}")
-            rows.append(
-                TrialResult(
-                    dataset=row["dataset"],
-                    method=row["method"],
-                    k_hops=k_hops,
-                    seed=seed,
-                    test_accuracy=test_accuracy,
-                )
+            seed = int(row["seed"]) if row.get("seed") else 0
+            test_accuracy = _fraction(row["test_accuracy"])
+        except (TypeError, ValueError) as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}")
+        rows.append(
+            TrialResult(
+                dataset=row["dataset"],
+                method=row["method"],
+                k_hops=k_hops,
+                seed=seed,
+                test_accuracy=test_accuracy,
             )
+        )
     return rows
 
 
 def _read_external(path: Path) -> dict[str, dict[str, float]]:
     table: dict[str, dict[str, float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"method", "dataset", "accuracy"}
-        missing = required - set(reader.fieldnames or ())
-        if missing:
-            raise DatasetError(f"{path}: missing columns {sorted(missing)}")
-        for row in reader:
-            try:
-                accuracy = float(row["accuracy"])
-            except (TypeError, ValueError) as exc:
-                raise DatasetError(f"{path}:{reader.line_num}: {exc}")
-            table.setdefault(row["method"], {})[row["dataset"]] = accuracy
+    for lineno, row in _csv_rows(path, {"method", "dataset", "accuracy"}):
+        try:
+            accuracy = _fraction(row["accuracy"])
+        except (TypeError, ValueError) as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}")
+        table.setdefault(row["method"], {})[row["dataset"]] = accuracy
     return table
 
 

@@ -184,9 +184,9 @@ def load_manifest(path) -> dict[str, ManifestEntry]:
     path = Path(path)
     base = path.parent
     raw: dict[str, dict[str, str]] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in _read_lines(path):
         line = line.strip()
-        if not line or line.startswith("#"):
+        if line.startswith("#"):
             continue
         if "=" not in line:
             raise DatasetError(f"{path}:{lineno}: expected 'name.field = value'")

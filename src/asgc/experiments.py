@@ -101,17 +101,20 @@ def run_method(
             ds, split, ds.features, features["sgc"], features["asgc"],
             resolution=resolution, k_hops=k_hops,
         )
-    x = features[method]
     fit_idx = np.concatenate([split.train, split.validation])
-    model = fit_logistic(x[fit_idx], ds.labels[fit_idx])
-    test_accuracy = accuracy(predict(model, x[split.test]), ds.labels[split.test])
     return TrialResult(
         dataset=ds.name,
         method=method,
         k_hops=k_hops,
         seed=split.seed,
-        test_accuracy=test_accuracy,
+        test_accuracy=_fit_score(features[method], ds.labels, fit_idx, split.test),
     )
+
+
+def _fit_score(x, y, fit_rows, score_rows) -> float:
+    """Fit the classifier on rows ``fit_rows`` of ``x`` and score it on ``score_rows``."""
+    model = fit_logistic(x[fit_rows], y[fit_rows])
+    return accuracy(predict(model, x[score_rows]), y[score_rows])
 
 
 def combo_search(
@@ -138,16 +141,14 @@ def combo_search(
     best_val = -np.inf
     for weights in simplex_grid(resolution):
         blended = blend(x_raw, x_sgc, x_asgc, weights)
-        model = fit_logistic(blended[split.train], y[split.train])
-        val_acc = accuracy(predict(model, blended[split.validation]), y[split.validation])
+        val_acc = _fit_score(blended, y, split.train, split.validation)
         if val_acc > best_val:
             best_val = val_acc
             best_weights = weights
     assert best_weights is not None
     blended = blend(x_raw, x_sgc, x_asgc, best_weights)
     fit_idx = np.concatenate([split.train, split.validation])
-    final = fit_logistic(blended[fit_idx], y[fit_idx])
-    test_accuracy = accuracy(predict(final, blended[split.test]), y[split.test])
+    test_accuracy = _fit_score(blended, y, fit_idx, split.test)
     return TrialResult(
         dataset=ds.name,
         method="combo",
@@ -204,13 +205,14 @@ def k_sweep(
 
     For a fixed (k, trial) every method sees the identical split, so method
     comparisons are paired. Filter matrices are computed once per hop count.
-    The k-independent methods (:data:`K_FREE_METHODS`) are trained once per
-    trial, and that result is repeated under every hop count.
+    The k-independent methods (:data:`K_FREE_METHODS`) are trained only at the
+    first hop count; every later hop count reuses those rows, restamped with
+    its own ``k_hops``.
 
     Each hop count's trials run through :func:`parallel_map` and return their
-    rows; no work item writes shared state. Splits derive from (seed, trial
-    index), and after the first hop count the caller keeps each trial's k-free
-    results from the rows returned, so the results do not depend on ``jobs``.
+    results; no work item writes shared state. Splits derive from (seed, trial
+    index), so the results do not depend on ``jobs``. Rows come out in
+    (k, trial, method) order, the methods in the order given.
     """
     methods = list(methods)
     k_values = list(k_values)
@@ -218,27 +220,19 @@ def k_sweep(
     if jobs > 1:
         import scipy.optimize  # noqa: F401  # once here, not again in every forked worker
     splits = [make_splits(ds.n, spawn_seed(seed, t)) for t in range(trials)]
-    k_free: dict[tuple[int, str], TrialResult] = {}
-
-    def one_trial(t, k, features) -> list[TrialResult]:
-        row = []
-        for m in methods:
-            result = k_free.get((t, m))
-            if result is None:
-                result = replace(run_method(ds, splits[t], m, k, resolution, features), trial=t)
-            row.append(replace(result, k_hops=k))
-        return row
-
     results = []
-    for i, k in enumerate(k_values):
-        need = methods if i == 0 else [m for m in methods if m not in K_FREE_METHODS]
+    first = None  # the first hop count's results, one {method: result} per trial
+    for k in k_values:
+        run = methods if first is None else [m for m in methods if m not in K_FREE_METHODS]
         features = None  # free the previous hop count's matrices before building the next
-        features = _features(ds, need, k)
-        rows = parallel_map(lambda t: one_trial(t, k, features), range(trials), jobs)
-        if i == 0:  # later hop counts repeat these instead of retraining
-            k_free = {(r.trial, r.method): r for row in rows for r in row
-                      if r.method in K_FREE_METHODS}
-        results.extend(r for row in rows for r in row)
+        features = _features(ds, run, k)
+        rows = parallel_map(
+            lambda t: {m: run_method(ds, splits[t], m, k, resolution, features) for m in run},
+            range(trials), jobs,
+        )
+        first = first or rows
+        results.extend(replace(rows[t].get(m) or first[t][m], k_hops=k, trial=t)
+                       for t in range(trials) for m in methods)
     return results
 
 

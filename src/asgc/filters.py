@@ -81,7 +81,7 @@ def asgc_filter(g: Graph, x, k_hops: int = 6) -> AsgcResult:
     filtered = np.zeros((n, f))
     coefficients = np.zeros((f, k_hops))
     residual_norms = np.zeros(f)
-    live = _nonzero_columns(cols)
+    live = np.flatnonzero(np.asarray((cols != 0).sum(axis=0)))  # a stored zero is a zero
     for start in range(0, len(live), ASGC_CHUNK):
         idx = live[start : start + ASGC_CHUNK]
         t = cols[:, idx].toarray() if sp.issparse(cols) else cols[:, idx]
@@ -103,14 +103,6 @@ def asgc_filter(g: Graph, x, k_hops: int = 6) -> AsgcResult:
         coefficients=coefficients,
         residual_norms=residual_norms,
     )
-
-
-def _nonzero_columns(cols) -> np.ndarray:
-    """Ascending indices of the columns holding a nonzero; a stored zero is a zero."""
-    if not sp.issparse(cols):
-        return np.flatnonzero(cols.any(axis=0))
-    stored_col = np.repeat(np.arange(cols.shape[1]), np.diff(cols.indptr))
-    return np.unique(stored_col[cols.data != 0])
 
 
 def simplex_grid(resolution: int) -> list[tuple[float, float, float]]:

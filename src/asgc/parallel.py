@@ -12,6 +12,8 @@ stream with :func:`spawn_seed`, so results are identical for any ``jobs``.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 _fn = None  # the mapped function, set in each worker by _init
@@ -36,7 +38,10 @@ def _call(item):
 
 
 def parallel_map(fn, items, jobs: int = 1) -> list:
-    """``[fn(item) for item in items]``, on ``jobs`` forked processes when ``jobs > 1``.
+    """``[fn(item) for item in items]``, on forked processes when ``jobs > 1``.
+
+    There are at most ``jobs`` workers, one per item at most, and never more
+    than the CPUs this process may run on.
 
     A new pool starts for each call and every worker is joined before this
     returns, also when an item raises; the caller gets that item's exception.
@@ -47,7 +52,8 @@ def parallel_map(fn, items, jobs: int = 1) -> list:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = min(jobs, len(items))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, len(items), cpus or 1)
     with ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),
         initializer=_init, initargs=(fn,),

@@ -188,13 +188,19 @@ def test_raw_bundle_is_csr_of_the_features(monkeypatch):
     assert len(seen) == 1 and seen[0] is ds.features
 
 
-def test_k_sweep_is_the_same_for_any_jobs():
+@pytest.mark.parametrize(
+    "methods",
+    [["raw", "sgc1", "asgc", "combo"], ["asgc", "raw", "combo", "sgc1"]],
+    ids=["k_free_first", "k_free_after"],
+)
+def test_k_sweep_is_the_same_for_any_jobs(methods):
     ds = toy_dataset(n_per_block=30)
-    methods = ["raw", "sgc1", "asgc", "combo"]
     seq = k_sweep(ds, methods, [1, 2], trials=3, seed=4, resolution=1, jobs=1)
     par = k_sweep(ds, methods, [1, 2], trials=3, seed=4, resolution=1, jobs=2)
     assert seq == par
-    assert len(seq) == 2 * 3 * len(methods)
+    assert [(r.k_hops, r.trial, r.method) for r in seq] == [
+        (k, t, m) for k in (1, 2) for t in range(3) for m in methods
+    ]
 
 
 @pytest.mark.parametrize("method", experiments.METHODS)
