@@ -224,12 +224,14 @@ def k_sweep(
     first = None  # the first hop count's results, one {method: result} per trial
     for k in k_values:
         run = methods if first is None else [m for m in methods if m not in K_FREE_METHODS]
-        features = None  # free the previous hop count's matrices before building the next
-        features = _features(ds, run, k)
-        rows = parallel_map(
-            lambda t: {m: run_method(ds, splits[t], m, k, resolution, features) for m in run},
-            range(trials), jobs,
-        )
+        rows = [{}] * trials  # nothing left to train at this k, so no worker pool either
+        if run:
+            features = None  # free the previous hop count's matrices before building the next
+            features = _features(ds, run, k)
+            rows = parallel_map(
+                lambda t: {m: run_method(ds, splits[t], m, k, resolution, features) for m in run},
+                range(trials), jobs,
+            )
         first = first or rows
         results.extend(replace(rows[t].get(m) or first[t][m], k_hops=k, trial=t)
                        for t in range(trials) for m in methods)

@@ -61,10 +61,8 @@ def generate_sbm(cfg: SbmConfig) -> tuple[Graph, np.ndarray, np.ndarray]:
     rng = np.random.default_rng(cfg.seed)
     pairs = []
     for prob, row0, col0 in ((p, 0, 0), (p, b, b), (q, 0, b)):
-        # Sorted, so Graph.from_edges gets its pairs in row-major order (about
-        # a third faster to build); a shuffle would only be undone.
         m = rng.binomial(b * b, prob)
-        cells = np.sort(rng.choice(b * b, m, replace=False, shuffle=False))
+        cells = rng.choice(b * b, m, replace=False, shuffle=False)
         i, j = np.divmod(cells, b)
         if row0 == col0:
             keep = i < j

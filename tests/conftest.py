@@ -8,6 +8,7 @@ independent routes to the same quantity.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from asgc import Graph, LabeledDataset, SbmConfig, generate_sbm
 
@@ -55,6 +56,23 @@ def dense_normalized_adjacency(g: Graph, add_self_loops: bool) -> np.ndarray:
     inv = np.zeros(g.n)
     inv[d > 0] = 1.0 / np.sqrt(d[d > 0])
     return a * inv[:, None] * inv[None, :]
+
+
+def reference_normalized_adjacency(a: sp.csr_matrix, add_self_loops: bool) -> sp.csr_matrix:
+    """The normalized adjacency built the plain scipy way, for byte-level comparison.
+
+    Copy the 0/1 adjacency, add the identity with self-loops, sort the
+    indices, then divide each stored one by sqrt(d_i d_j).
+    """
+    d = np.diff(a.indptr).astype(np.float64)
+    a = a.copy()
+    if add_self_loops:
+        a = a + sp.identity(a.shape[0], format="csr")
+        d += 1.0
+    a.sort_indices()
+    row = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    a.data = a.data / np.sqrt(d[row] * d[a.indices])
+    return a
 
 
 def svd_least_squares(basis: np.ndarray, target: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:

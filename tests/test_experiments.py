@@ -1,5 +1,7 @@
+import multiprocessing
 import os
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,6 +162,29 @@ def test_k_sweep_trains_k_free_methods_once_per_trial_at_two_jobs(monkeypatch, t
     log.unlink()
     assert k_sweep(*args, trials=3, jobs=1) == par
     assert Counter(log.read_text().split()) == counts
+
+
+def test_k_sweep_maps_no_work_at_hop_counts_with_nothing_to_train(monkeypatch):
+    ds = toy_dataset(n_per_block=30)
+    calls = []
+    real = experiments.parallel_map
+
+    def counting(fn, items, jobs):
+        calls.append(jobs)
+        return real(fn, items, jobs)
+
+    monkeypatch.setattr(experiments, "parallel_map", counting)
+    results = k_sweep(ds, ["raw", "sgc1"], range(1, 5), trials=2, jobs=2)
+    assert calls == [2]
+    assert multiprocessing.active_children() == []
+    first = results[:4]
+    assert [(r.k_hops, r.trial, r.method) for r in results] == [
+        (k, t, m) for k in range(1, 5) for t in range(2) for m in ("raw", "sgc1")
+    ]
+    for i, r in enumerate(results):
+        assert r == replace(first[i % 4], k_hops=r.k_hops)
+    monkeypatch.setattr(experiments, "parallel_map", real)
+    assert k_sweep(ds, ["raw", "sgc1"], range(1, 5), trials=2, jobs=1) == results
 
 
 def test_k_sweep_repeats_the_per_k_result_of_k_free_methods():

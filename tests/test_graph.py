@@ -59,6 +59,11 @@ def test_from_edges_rejects_negative_node_count():
         Graph.from_edges(-1, [])
 
 
+def test_from_edges_rejects_node_counts_whose_edge_keys_overflow_int64():
+    with pytest.raises(GraphError, match="3037000499"):
+        Graph.from_edges(2**32, [[0, 1]])
+
+
 def test_graph_is_its_one_adjacency_csr():
     g = path_graph(4)
     assert [f.name for f in dataclasses.fields(Graph)] == ["adjacency"]

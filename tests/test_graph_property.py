@@ -1,4 +1,5 @@
-"""Property test: ``Graph.from_edges`` yields a clean symmetric 0/1 CSR."""
+"""Property tests: ``Graph.from_edges`` yields a clean symmetric 0/1 CSR, and
+both graph constructors give the same bytes as plain scipy construction."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from asgc import Graph, normalized_adjacency  # noqa: E402
+from asgc import Graph, SbmConfig, generate_sbm, normalized_adjacency  # noqa: E402
+from conftest import reference_normalized_adjacency  # noqa: E402
 
 
 @st.composite
@@ -53,3 +55,55 @@ def test_from_edges_builds_a_symmetric_canonical_loop_free_0_1_csr(case):
         assert g.adjacency is a
         for old, new in zip(before, (a.data, a.indices, a.indptr)):
             np.testing.assert_array_equal(new, old)
+
+
+def coo_adjacency(n, edges):
+    """The adjacency built through scipy's COO -> CSR conversion."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    e = e[e[:, 0] != e[:, 1]]
+    rows, cols = np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]])
+    a = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
+    a.data[:] = 1.0
+    return a
+
+
+def assert_same_csr_bytes(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype, name
+        assert g.tobytes() == w.tobytes(), name
+
+
+def assert_matches_reference(g, edges):
+    want = coo_adjacency(g.n, edges)
+    assert_same_csr_bytes(g.adjacency, want)
+    for loops in (False, True):
+        assert_same_csr_bytes(
+            normalized_adjacency(g, loops).csr, reference_normalized_adjacency(want, loops)
+        )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(edge_lists())
+def test_graph_constructors_give_the_bytes_of_scipy_construction(case):
+    n, edges = case
+    assert_matches_reference(Graph.from_edges(n, edges), edges)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_wide_key_graphs_give_the_bytes_of_scipy_construction(seed):
+    n = 100_000  # edge keys row * n + col up to 1e10, past 2**32
+    rng = np.random.default_rng(seed)
+    edges = rng.integers(n - 2_000, n, size=(3_000, 2))
+    edges = np.concatenate([edges, edges[:500, ::-1], edges[:100, [0, 0]], [[0, n - 1]]])
+    assert_matches_reference(Graph.from_edges(n, edges), edges)
+
+
+@pytest.mark.parametrize("log_ratio, seed", [(-3.0, 0), (-0.5, 7), (0.0, 1), (2.5, 42)])
+def test_sbm_graphs_give_the_bytes_of_scipy_construction(log_ratio, seed):
+    g, _, _ = generate_sbm(SbmConfig(log_ratio=log_ratio, seed=seed))
+    edges = np.argwhere(sp.triu(g.adjacency).toarray())
+    edges = np.random.default_rng(seed).permutation(edges)
+    assert_matches_reference(g, edges)
+    assert_same_csr_bytes(Graph.from_edges(g.n, edges).adjacency, g.adjacency)
