@@ -18,8 +18,9 @@ import scipy.sparse as sp
 from .graph import Graph, GraphError, normalized_adjacency, propagate
 from .numeric import least_squares
 
-# feature columns propagated together by asgc_filter; its basis block holds
-# K * n * ASGC_CHUNK floats (3.5 MB at K=10 on 2,708 nodes)
+# feature columns propagated together by asgc_filter; its hop block holds
+# ASGC_CHUNK x K x n floats (3.5 MB at K=10 on 2,708 nodes), one contiguous
+# n-row per (column, hop), so each hop is written in one sequential pass
 ASGC_CHUNK = 16
 
 
@@ -86,17 +87,19 @@ def asgc_filter(g: Graph, x, k_hops: int = 6) -> AsgcResult:
         idx = live[start : start + ASGC_CHUNK]
         t = cols[:, idx].toarray() if sp.issparse(cols) else cols[:, idx]
         targets = t.T.copy()
-        # bases[c] is column idx[c]'s C-ordered n x K Krylov basis
-        bases = np.empty((len(idx), n, k_hops))
+        # hops[c, k] is S^(k+1) applied to column idx[c]
+        hops = np.empty((len(idx), k_hops, n))
         for k in range(k_hops):
             t = propagate(op, t)
-            bases[:, :, k] = t.T
+            hops[:, k, :] = t.T
         out = np.empty((len(idx), n))
         for c, j in enumerate(idx):
-            sol = least_squares(bases[c], targets[c])
+            # a C-ordered n x K basis: an F-ordered one takes another gemv
+            # kernel in basis @ coefficients and moves the last bits
+            sol = least_squares(np.ascontiguousarray(hops[c].T), targets[c])
             coefficients[j] = sol.coefficients
             residual_norms[j] = sol.residual_norm
-            out[c] = bases[c] @ sol.coefficients
+            out[c] = sol.fitted
         filtered[:, idx] = out.T
     return AsgcResult(
         filtered=filtered[:, 0] if single else filtered,

@@ -13,11 +13,15 @@ The objective forms its two dense products as ``(W^T X^T)^T`` and
 ``X^T P`` on a faster GEMM path; for CSR features scipy computes the same
 products as before. The scores are made C-ordered before the log-sum-exp,
 whose reduction order follows the memory layout, so dense and CSR scores are
-reduced in the same order.
+reduced in the same order. That log-sum-exp is a private row-wise copy of the
+float operations ``scipy.special.logsumexp`` (scipy 1.17) does on finite
+input, bit for bit, without its second, unshifted pass over the scores or its
+array-API dispatch; a row with a non-finite maximum goes to scipy's function.
 
-``scipy.optimize`` (and with it ``scipy.special``) is imported by the first
-:func:`fit_logistic` call, not with this module: it takes ~0.3 s and ~28 MB
-to load, and only a fit uses it, so commands that never train do not pay it.
+``scipy.optimize`` is imported by the first :func:`fit_logistic` call, not
+with this module: it takes ~0.3 s and ~28 MB to load, and only a fit uses it,
+so commands that never train do not pay it. The objective itself imports
+nothing from scipy unless its scores hold an inf or a NaN.
 """
 
 from __future__ import annotations
@@ -34,10 +38,12 @@ class LeastSquaresSolution:
     """Coefficients minimizing ||basis @ c - target||_2, with diagnostics.
 
     When the basis is rank-deficient at the chosen tolerance, ``coefficients``
-    is the minimum-norm minimizer (pseudoinverse semantics).
+    is the minimum-norm minimizer (pseudoinverse semantics). ``fitted`` is
+    ``basis @ coefficients``.
     """
 
     coefficients: np.ndarray
+    fitted: np.ndarray
     residual_norm: float
     effective_rank: int
 
@@ -53,7 +59,7 @@ def least_squares(basis, target, rank_tol: float = 1e-10) -> LeastSquaresSolutio
 
     Returns:
         A :class:`LeastSquaresSolution`. The residual norm is recomputed
-        explicitly from the returned coefficients.
+        explicitly from the fitted vector.
     """
     basis = np.asarray(basis, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -64,10 +70,11 @@ def least_squares(basis, target, rank_tol: float = 1e-10) -> LeastSquaresSolutio
     if not (np.isfinite(basis).all() and np.isfinite(target).all()):
         raise ValueError("least_squares requires finite inputs")
     coefficients, _, rank, _ = np.linalg.lstsq(basis, target, rcond=rank_tol)
-    residual = target - basis @ coefficients
+    fitted = basis @ coefficients
     return LeastSquaresSolution(
         coefficients=coefficients,
-        residual_norm=float(np.linalg.norm(residual)),
+        fitted=fitted,
+        residual_norm=float(np.linalg.norm(target - fitted)),
         effective_rank=int(rank),
     )
 
@@ -101,21 +108,42 @@ def _as_features(x):
     return np.asarray(x, dtype=np.float64)
 
 
+def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
+    """``scipy.special.logsumexp(z, axis=1, keepdims=True)`` for a 2-D float64 ``z``.
+
+    Where every row maximum is finite this does scipy's float operations in
+    scipy's order: the maxima are taken out of the shifted sum and counted
+    (``m``), and the result is ``log1p(s) + log(m) + max``. So the bits are
+    scipy's, and the reduction order follows ``z``'s memory layout as scipy's
+    does. An inf or NaN maximum is left to scipy, which keeps its semantics.
+    """
+    z_max = z.max(axis=1, keepdims=True)
+    if not np.isfinite(z_max).all():
+        from scipy.special import logsumexp
+
+        return logsumexp(z, axis=1, keepdims=True)
+    at_max = z == z_max
+    m = at_max.sum(axis=1, keepdims=True, dtype=np.float64)
+    e = np.exp(z - z_max)
+    e[at_max] = 0.0
+    s = e.sum(axis=1, keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    return np.log1p(s) + np.log(m) + z_max
+
+
 def softmax_objective(params, x, y_index, n_classes, l2_strength):
     """Mean cross-entropy plus 0.5 * l2 * ||W||^2; returns (loss, gradient).
 
     The cross-entropy term is averaged per sample, so duplicating every row
     of the training set leaves the objective (and the fitted model) unchanged.
     """
-    from scipy.special import logsumexp
-
     n, f = x.shape
     w = params[: f * n_classes].reshape(f, n_classes)
     b = params[f * n_classes :]
     # reoriented x @ w and x.T @ p (module docstring); z must be C-ordered,
-    # since logsumexp's reduction order follows the memory layout
+    # since the log-sum-exp's reduction order follows the memory layout
     z = np.ascontiguousarray((w.T @ x.T).T) + b
-    log_p = z - logsumexp(z, axis=1, keepdims=True)
+    log_p = z - _logsumexp_rows(z)
     loss = -log_p[np.arange(n), y_index].mean() + 0.5 * l2_strength * float(np.sum(w * w))
     p = np.exp(log_p)
     p[np.arange(n), y_index] -= 1.0

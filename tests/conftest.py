@@ -84,6 +84,24 @@ def svd_least_squares(basis: np.ndarray, target: np.ndarray, rel_tol: float = 1e
     return vt.T @ (inv_s * (u.T @ target))
 
 
+def reference_softmax_objective(params, x, y_index, n_classes, l2_strength):
+    """The classifier objective written with ``scipy.special.logsumexp``, for bit comparison."""
+    from scipy.special import logsumexp
+
+    n, f = x.shape
+    w = params[: f * n_classes].reshape(f, n_classes)
+    b = params[f * n_classes :]
+    z = np.ascontiguousarray((w.T @ x.T).T) + b
+    log_p = z - logsumexp(z, axis=1, keepdims=True)
+    loss = -log_p[np.arange(n), y_index].mean() + 0.5 * l2_strength * float(np.sum(w * w))
+    p = np.exp(log_p)
+    p[np.arange(n), y_index] -= 1.0
+    p /= n
+    grad_w = (p.T @ x).T + l2_strength * w
+    grad_b = p.sum(axis=0)
+    return loss, np.concatenate([grad_w.ravel(), grad_b])
+
+
 def toy_dataset(n_per_block=60, n_features=6, log_ratio=2.0, seed=0, name="toy") -> LabeledDataset:
     """Two-block SBM with block-informative noisy features, for protocol tests."""
     g, _, block = generate_sbm(SbmConfig(n_per_block, 8.0, log_ratio, seed))

@@ -193,7 +193,7 @@ def test_asgc_chunked_propagation_equals_per_column_loop(monkeypatch, chunk):
     g, x = block_test_case()
     if chunk is not None:
         monkeypatch.setattr(asgc.filters, "ASGC_CHUNK", chunk)
-    for k in (1, 4):
+    for k in (1, 4, 9, 10):  # 9 and 10 are het-sweep's hop counts
         assert_asgc_equals_per_column_loop(g, x, k)
     # a feature seen only at an isolated node has an all-zero basis
     assert np.all(asgc_filter(g, x, 4).coefficients[20] == 0)
@@ -248,6 +248,14 @@ def test_asgc_on_sparse_features_allocates_no_dense_copy_of_them():
         tracemalloc.stop()
     dense_bytes = n * f * 8
     assert peak < result.filtered.nbytes + dense_bytes / 2
+
+
+@pytest.mark.parametrize("form", [np.asarray, sp.csr_matrix])
+def test_asgc_rejects_a_nan_feature(form):
+    g, x = block_test_case()
+    x[3, 18] = np.nan  # in the second chunk
+    with pytest.raises(ValueError, match="^least_squares requires finite inputs$"):
+        asgc_filter(g, form(x), 10)
 
 
 def test_asgc_chunked_propagation_equals_loop_when_rank_deficient():

@@ -12,7 +12,7 @@ from asgc import (
     predict,
 )
 from asgc.numeric import LogisticModel, softmax_objective
-from conftest import svd_least_squares
+from conftest import reference_softmax_objective, svd_least_squares
 
 
 # --- least squares -----------------------------------------------------------
@@ -55,6 +55,17 @@ def test_residual_orthogonal_to_basis():
         residual = target - basis @ sol.coefficients
         bound = 1e-8 * np.linalg.norm(basis) * np.linalg.norm(target)
         assert np.max(np.abs(basis.T @ residual)) <= max(bound, 1e-12)
+
+
+def test_fitted_is_basis_times_coefficients_bit_for_bit():
+    rng = np.random.default_rng(2)
+    for order in ("C", "F"):
+        basis = np.asarray(rng.standard_normal((50, 10)), order=order)
+        basis[:, 7] = basis[:, 2]  # rank-deficient
+        target = rng.standard_normal(50)
+        sol = least_squares(basis, target)
+        assert sol.fitted.tobytes() == (basis @ sol.coefficients).tobytes()
+        assert sol.residual_norm == float(np.linalg.norm(target - basis @ sol.coefficients))
 
 
 def test_residual_monotone_under_nested_bases():
@@ -136,6 +147,23 @@ def test_gradient_matches_finite_differences():
         ) / (2 * eps)
     scale = max(np.linalg.norm(fd), 1e-12)
     assert np.linalg.norm(grad - fd) / scale <= 1e-4
+
+
+@pytest.mark.parametrize("form", ["dense", "csr"])
+@pytest.mark.parametrize("scale", [0.0, 1e-3, 1.0, 30.0])
+def test_objective_equals_the_scipy_logsumexp_objective_bit_for_bit(form, scale):
+    # scale 0 is every fit's starting point: all scores tie at the maximum
+    rng = np.random.default_rng(13)
+    n, f, n_classes = 37, 9, 4
+    x = rng.standard_normal((n, f)) * (rng.random((n, f)) < 0.4)
+    x = sp.csr_matrix(x) if form == "csr" else x
+    y_index = rng.integers(0, n_classes, size=n)
+    for _ in range(5):
+        params = np.round(rng.standard_normal(f * n_classes + n_classes) * scale, 1)
+        loss, grad = softmax_objective(params, x, y_index, n_classes, 1e-4)
+        want_loss, want_grad = reference_softmax_objective(params, x, y_index, n_classes, 1e-4)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
 
 
 def test_gradient_small_at_convergence():
