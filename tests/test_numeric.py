@@ -152,14 +152,16 @@ def test_gradient_matches_finite_differences():
 @pytest.mark.parametrize("form", ["dense", "csr"])
 @pytest.mark.parametrize("scale", [0.0, 1e-3, 1.0, 30.0])
 def test_objective_equals_the_scipy_logsumexp_objective_bit_for_bit(form, scale):
-    # scale 0 is every fit's starting point: all scores tie at the maximum
+    # scale 0 is every fit's starting point: all scores tie at the maximum;
+    # rounded parameters give ties elsewhere
     rng = np.random.default_rng(13)
     n, f, n_classes = 37, 9, 4
     x = rng.standard_normal((n, f)) * (rng.random((n, f)) < 0.4)
     x = sp.csr_matrix(x) if form == "csr" else x
     y_index = rng.integers(0, n_classes, size=n)
-    for _ in range(5):
-        params = np.round(rng.standard_normal(f * n_classes + n_classes) * scale, 1)
+    for rounded in (False, True, False, True):
+        params = rng.standard_normal(f * n_classes + n_classes) * scale
+        params = np.round(params, 1) if rounded else params
         loss, grad = softmax_objective(params, x, y_index, n_classes, 1e-4)
         want_loss, want_grad = reference_softmax_objective(params, x, y_index, n_classes, 1e-4)
         assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
