@@ -143,6 +143,14 @@ def case_sweep(root: Path, manifest: Path, jobs: int) -> dict[str, str]:
     return file_digests("sweep", out)
 
 
+def case_sweep_all(root: Path, manifest: Path) -> dict[str, str]:
+    """Every method, combo's lattice included, through the whole sweep path."""
+    out = root / "sweep_all"
+    run_cli(["sweep", "--manifest", manifest, "--dataset", "toy", "--k-min", 1, "--k-max", 2,
+             "--trials", 2, "--resolution", 2, "--seed", 4, "--jobs", 1, "--out", out])
+    return file_digests("sweep_all", out)
+
+
 def case_aggregate(root: Path) -> dict[str, str]:
     results, external = root / "results.csv", root / "external.csv"
     results.write_text(AGGREGATE_RESULTS)
@@ -227,6 +235,12 @@ def test_sweep_matches_pinned_digests(tmp_path, table, manifest, jobs):
     assert_pinned(got, table)
 
 
+def test_sweep_over_every_method_matches_pinned_digests(tmp_path, table, manifest):
+    got = case_sweep_all(tmp_path, manifest)
+    assert sorted(got) == ["sweep_all/sweep_toy.csv", "sweep_all/sweep_toy.svg"]
+    assert_pinned(got, table)
+
+
 def test_aggregate_matches_pinned_digests(tmp_path, table):
     got = case_aggregate(tmp_path)
     assert len(got) == 2
@@ -250,6 +264,7 @@ def regenerate() -> None:
             **case_filter(root, manifest),
             **case_classify(root, manifest, 1),
             **case_sweep(root, manifest, 1),
+            **case_sweep_all(root, manifest),
             **case_aggregate(root),
             **case_homophily(manifest),
             **case_api(manifest),
