@@ -45,7 +45,6 @@ from .graph import (
 )
 from .numeric import (
     LeastSquaresSolution,
-    LogisticConfig,
     LogisticModel,
     accuracy,
     fit_logistic,
@@ -74,7 +73,6 @@ __all__ = [
     "GraphError",
     "LabeledDataset",
     "LeastSquaresSolution",
-    "LogisticConfig",
     "LogisticModel",
     "METHODS",
     "ManifestEntry",

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetError, load_from_manifest
+from .data import DatasetError, homophily, load_from_manifest
 from .experiments import (
     METHODS,
     TrialResult,
@@ -36,7 +36,6 @@ from .graph import GraphError
 from .synthetic import METHODS as SYNTH_METHODS, run_sweep
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_MISSING_FILE = 3
 EXIT_BAD_DATA = 4
 
@@ -172,6 +171,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_filter(args) -> int:
+    if args.k < 1:
+        raise ValueError("k_hops must be >= 1")
     ds = load_from_manifest(args.manifest, args.dataset)
     out = Path(args.out)
     stem = f"{ds.name}_{args.method}_k{args.k}"
@@ -282,15 +283,24 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _csv_rows(path: Path, required: set[str]):
-    """Yield each row of a CSV as ``(line number, row)``, once its header holds ``required``."""
+def _csv_rows(path: Path, required: set[str], parse):
+    """Yield ``parse(row)`` for each CSV row that it does not map to ``None``.
+
+    The header must hold ``required``; a ``TypeError`` or ``ValueError`` from
+    ``parse`` is raised as a :class:`DatasetError` naming ``<path>:<line>``.
+    """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = required - set(reader.fieldnames or ())
         if missing:
             raise DatasetError(f"{path}: missing columns {sorted(missing)}")
         for row in reader:
-            yield reader.line_num, row
+            try:
+                parsed = parse(row)
+            except (TypeError, ValueError) as exc:
+                raise DatasetError(f"{path}:{reader.line_num}: {exc}")
+            if parsed is not None:
+                yield parsed
 
 
 def _fraction(text: str) -> float:
@@ -302,38 +312,30 @@ def _fraction(text: str) -> float:
 
 
 def _read_trial_rows(path: Path, k_filter: int | None) -> list[TrialResult]:
-    rows = []
-    for lineno, row in _csv_rows(path, {"dataset", "method", "k_hops", "trial", "test_accuracy"}):
+    def parse(row) -> TrialResult | None:
         if row["trial"] == "mean":
-            continue
-        try:
-            k_hops = int(row["k_hops"])
-            if k_filter is not None and k_hops != k_filter:
-                continue
-            seed = int(row["seed"]) if row.get("seed") else 0
-            test_accuracy = _fraction(row["test_accuracy"])
-        except (TypeError, ValueError) as exc:
-            raise DatasetError(f"{path}:{lineno}: {exc}")
-        rows.append(
-            TrialResult(
-                dataset=row["dataset"],
-                method=row["method"],
-                k_hops=k_hops,
-                seed=seed,
-                test_accuracy=test_accuracy,
-            )
+            return None
+        k_hops = int(row["k_hops"])
+        if k_filter is not None and k_hops != k_filter:
+            return None
+        return TrialResult(
+            dataset=row["dataset"],
+            method=row["method"],
+            k_hops=k_hops,
+            seed=int(row["seed"]) if row.get("seed") else 0,
+            test_accuracy=_fraction(row["test_accuracy"]),
         )
-    return rows
+
+    return list(_csv_rows(path, {"dataset", "method", "k_hops", "trial", "test_accuracy"}, parse))
 
 
 def _read_external(path: Path) -> dict[str, dict[str, float]]:
+    def parse(row) -> tuple[str, str, float]:
+        return row["method"], row["dataset"], _fraction(row["accuracy"])
+
     table: dict[str, dict[str, float]] = {}
-    for lineno, row in _csv_rows(path, {"method", "dataset", "accuracy"}):
-        try:
-            accuracy = _fraction(row["accuracy"])
-        except (TypeError, ValueError) as exc:
-            raise DatasetError(f"{path}:{lineno}: {exc}")
-        table.setdefault(row["method"], {})[row["dataset"]] = accuracy
+    for method, dataset, accuracy in _csv_rows(path, {"method", "dataset", "accuracy"}, parse):
+        table.setdefault(method, {})[dataset] = accuracy
     return table
 
 
@@ -377,8 +379,6 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_homophily(args) -> int:
-    from .data import homophily
-
     ds = load_from_manifest(args.manifest, args.dataset)
     print(f"{ds.name}\t{homophily(ds):.6f}")
     return EXIT_OK

@@ -82,10 +82,6 @@ class Graph:
         return self.adjacency.shape[0]
 
     @property
-    def indptr(self) -> np.ndarray:
-        return self.adjacency.indptr
-
-    @property
     def indices(self) -> np.ndarray:
         return self.adjacency.indices
 
@@ -105,7 +101,7 @@ class PropagationOperator:
 
 def degrees(g: Graph) -> np.ndarray:
     """Per-node neighbor counts (self-loops are never stored, so these are plain degrees)."""
-    return np.diff(g.indptr)
+    return np.diff(g.adjacency.indptr)
 
 
 def normalized_adjacency(g: Graph, add_self_loops: bool = False) -> PropagationOperator:
@@ -118,7 +114,8 @@ def normalized_adjacency(g: Graph, add_self_loops: bool = False) -> PropagationO
     """
     n = g.n
     d = degrees(g).astype(np.float64)
-    indptr, indices = g.indptr.copy(), g.indices.copy()  # g.adjacency is never shared
+    # copies, so the operator never shares g.adjacency's arrays
+    indptr, indices = g.adjacency.indptr.copy(), g.adjacency.indices.copy()
     if add_self_loops:
         # each diagonal entry goes after the row's neighbours with smaller ids
         row = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))

@@ -32,12 +32,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
+# singular values below RANK_TOL times the largest count as zero in least_squares
+RANK_TOL = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class LeastSquaresSolution:
     """Coefficients minimizing ||basis @ c - target||_2, with diagnostics.
 
-    When the basis is rank-deficient at the chosen tolerance, ``coefficients``
+    When the basis is rank-deficient at :data:`RANK_TOL`, ``coefficients``
     is the minimum-norm minimizer (pseudoinverse semantics). ``fitted`` is
     ``basis @ coefficients``.
     """
@@ -48,14 +51,12 @@ class LeastSquaresSolution:
     effective_rank: int
 
 
-def least_squares(basis, target, rank_tol: float = 1e-10) -> LeastSquaresSolution:
+def least_squares(basis, target) -> LeastSquaresSolution:
     """Minimum-norm least squares solve of ``basis @ c ~= target``.
 
     Args:
         basis: dense n x k matrix.
         target: length-n vector.
-        rank_tol: singular values below ``rank_tol`` times the largest are
-            treated as zero when determining the effective rank.
 
     Returns:
         A :class:`LeastSquaresSolution`. The residual norm is recomputed
@@ -69,7 +70,7 @@ def least_squares(basis, target, rank_tol: float = 1e-10) -> LeastSquaresSolutio
         raise ValueError("basis needs at least one column")
     if not (np.isfinite(basis).all() and np.isfinite(target).all()):
         raise ValueError("least_squares requires finite inputs")
-    coefficients, _, rank, _ = np.linalg.lstsq(basis, target, rcond=rank_tol)
+    coefficients, _, rank, _ = np.linalg.lstsq(basis, target, rcond=RANK_TOL)
     fitted = basis @ coefficients
     return LeastSquaresSolution(
         coefficients=coefficients,
@@ -77,19 +78,6 @@ def least_squares(basis, target, rank_tol: float = 1e-10) -> LeastSquaresSolutio
         residual_norm=float(np.linalg.norm(target - fitted)),
         effective_rank=int(rank),
     )
-
-
-@dataclass(frozen=True)
-class LogisticConfig:
-    """Training knobs for :func:`fit_logistic`.
-
-    ``tol`` bounds the max-norm of the objective gradient at the solution;
-    ``l2_strength`` scales a ridge penalty on the weights (never the bias).
-    """
-
-    max_iter: int = 1000
-    tol: float = 1e-5
-    l2_strength: float = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,23 +141,26 @@ def softmax_objective(params, x, y_index, n_classes, l2_strength):
     return loss, np.concatenate([grad_w.ravel(), grad_b])
 
 
-def fit_logistic(x, y, config: LogisticConfig | None = None) -> LogisticModel:
+def fit_logistic(
+    x, y, *, max_iter: int = 1000, tol: float = 1e-5, l2_strength: float = 1e-4
+) -> LogisticModel:
     """Train a multinomial softmax classifier by full-batch L-BFGS.
 
     Args:
         x: n x f feature matrix (finite values), dense or scipy sparse; a
             sparse matrix is trained on in CSR form without densifying.
         y: length-n integer labels with at least two distinct values.
-        config: optional :class:`LogisticConfig`.
+        max_iter: optimizer iteration limit.
+        tol: bound on the max-norm of the objective gradient at the solution.
+        l2_strength: scale of a ridge penalty on the weights (never the bias).
 
     The optimizer starts from zero parameters, so results are deterministic.
-    If it stops without converging (for instance at ``config.max_iter``), a
+    If it stops without converging (for instance at ``max_iter``), a
     ``RuntimeWarning`` carrying the optimizer's message is emitted and the
     last iterate is returned.
     """
     import scipy.optimize
 
-    config = config or LogisticConfig()
     x = _as_features(x)
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
@@ -184,10 +175,10 @@ def fit_logistic(x, y, config: LogisticConfig | None = None) -> LogisticModel:
     result = scipy.optimize.minimize(
         softmax_objective,
         np.zeros(f * n_classes + n_classes),
-        args=(x, y_index, n_classes, config.l2_strength),
+        args=(x, y_index, n_classes, l2_strength),
         jac=True,
         method="L-BFGS-B",
-        options={"maxiter": config.max_iter, "gtol": config.tol, "ftol": 1e-15},
+        options={"maxiter": max_iter, "gtol": tol, "ftol": 1e-15},
     )
     if not result.success:
         warnings.warn(

@@ -41,19 +41,20 @@ def parallel_map(fn, items, jobs: int = 1) -> list:
     """``[fn(item) for item in items]``, on forked processes when ``jobs > 1``.
 
     There are at most ``jobs`` workers, one per item at most, and never more
-    than the CPUs this process may run on.
+    than the CPUs this process may run on. Where that leaves one worker, the
+    items run in this process and no pool is started.
 
     A new pool starts for each call and every worker is joined before this
     returns, also when an item raises; the caller gets that item's exception.
     """
     items = list(items)
-    if jobs <= 1 or len(items) <= 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, len(items), cpus or 1)
+    if workers <= 1:
         return [fn(item) for item in items]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(jobs, len(items), cpus or 1)
     with ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),
         initializer=_init, initargs=(fn,),

@@ -144,6 +144,10 @@ def run_sweep(
         raise ValueError("log_ratio grid must be nonempty")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    for rho in log_ratios:  # a grid point no trial can draw fails before any work
+        SbmConfig(n_per_block=n_per_block, log_ratio=float(rho)).edge_probabilities()
+    if k_hops < 1:
+        raise ValueError("k_hops must be >= 1")
 
     def one(item):
         gi, ti = item

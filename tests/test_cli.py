@@ -160,6 +160,7 @@ def test_combo_resolution_below_one_fails_before_filtering(
         (["classify", "--method", "raw", "--trials", "0"], "trials must be >= 1"),
         (["sweep", "--k-min", "0"], "k_hops must be >= 1"),
         (["classify", "--method", "combo", "--resolution", "0"], "resolution must be >= 1"),
+        (["filter", "--method", "sgc", "--k", "0"], "k_hops must be >= 1"),
     ],
 )
 def test_bad_protocol_arguments_fail_before_the_dataset_loads(
@@ -172,6 +173,26 @@ def test_bad_protocol_arguments_fail_before_the_dataset_loads(
     out = tmp_path / "out"
     dataset = ["--manifest", str(tmp_path / "data.manifest"), "--dataset", "toy"]
     assert main(argv + dataset + ["--out", str(out)]) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--k", "0"], "k_hops must be >= 1"),
+        (["--log-ratio-min", "-800"], "derived edge probabilities out of range: p=0, q=0.02"),
+    ],
+)
+def test_bad_synth_arguments_fail_before_the_worker_pool(
+    tmp_path, monkeypatch, capsys, argv, message
+):
+    def no_pool(*args, **kwargs):
+        pytest.fail("synth reached the worker pool before its arguments were checked")
+
+    monkeypatch.setattr("asgc.synthetic.parallel_map", no_pool)
+    out = tmp_path / "out"
+    assert main(["synth", *argv, "--jobs", "2", "--out", str(out)]) == 4
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 

@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 from asgc import (
-    LogisticConfig,
     accuracy,
     fit_logistic,
     least_squares,
@@ -82,7 +81,9 @@ def test_residual_monotone_under_nested_bases():
 
 def test_rank_tol_controls_effective_rank():
     basis = np.array([[1.0, 1.0 + 1e-13], [1.0, 1.0]])
-    assert least_squares(basis, np.array([1.0, 2.0]), rank_tol=1e-6).effective_rank == 1
+    assert least_squares(basis, np.array([1.0, 2.0])).effective_rank == 1
+    basis[0, 1] = 1.0 + 1e-6  # smallest singular value ~2.5e-7 of the largest: above RANK_TOL
+    assert least_squares(basis, np.array([1.0, 2.0])).effective_rank == 2
 
 
 def test_rejects_non_finite():
@@ -202,8 +203,8 @@ def test_accuracy_rejects_mismatched_lengths():
 def test_config_knob_changes_regularization():
     rng = np.random.default_rng(9)
     x, y = two_blobs(rng, n_per=20)
-    strong = fit_logistic(x, y, LogisticConfig(l2_strength=10.0))
-    weak = fit_logistic(x, y, LogisticConfig(l2_strength=1e-6))
+    strong = fit_logistic(x, y, l2_strength=10.0)
+    weak = fit_logistic(x, y, l2_strength=1e-6)
     assert np.linalg.norm(strong.weights) < np.linalg.norm(weak.weights)
 
 
@@ -211,7 +212,7 @@ def test_unconverged_fit_warns_with_optimizer_message():
     rng = np.random.default_rng(10)
     x, y = two_blobs(rng, n_per=20, spread=2.0)
     with pytest.warns(RuntimeWarning, match="(?i)did not converge.*iterations reached limit"):
-        fit_logistic(x, y, LogisticConfig(max_iter=1))
+        fit_logistic(x, y, max_iter=1)
 
 
 def test_converged_fits_do_not_warn():
@@ -242,8 +243,7 @@ def test_dense_and_csr_fits_break_an_exact_tie_alike():
     # the last bit of the bias decides the tie the other way
     x = np.zeros((10, 4))
     y = np.array([0, 1, 1, 2, 0, 3, 1, 2, 3, 3])
-    config = LogisticConfig(tol=1e-9, l2_strength=0.1)
-    dense = fit_logistic(x, y, config)
-    sparse = fit_logistic(sp.csr_matrix(x), y, config)
+    dense = fit_logistic(x, y, tol=1e-9, l2_strength=0.1)
+    sparse = fit_logistic(sp.csr_matrix(x), y, tol=1e-9, l2_strength=0.1)
     assert predict(dense, x).tolist() == [1] * 10
     np.testing.assert_array_equal(predict(sparse, sp.csr_matrix(x)), predict(dense, x))

@@ -8,7 +8,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from asgc import LogisticConfig, fit_logistic, predict  # noqa: E402
+from asgc import fit_logistic, predict  # noqa: E402
 
 
 @st.composite
@@ -29,15 +29,15 @@ def sparse_problems(draw):
 
 
 # strongly convex and tightly solved, so both input forms reach one optimum
-PROPERTY_CONFIG = LogisticConfig(tol=1e-9, l2_strength=0.1)
+TIGHT_FIT = {"tol": 1e-9, "l2_strength": 0.1}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(sparse_problems(), st.sampled_from([np.nan, np.inf, -np.inf]))
 def test_sparse_and_dense_features_fit_the_same_model(problem, bad):
     x, y = problem
-    dense = fit_logistic(x, y, PROPERTY_CONFIG)
-    sparse = fit_logistic(sp.csr_matrix(x), y, PROPERTY_CONFIG)
+    dense = fit_logistic(x, y, **TIGHT_FIT)
+    sparse = fit_logistic(sp.csr_matrix(x), y, **TIGHT_FIT)
     np.testing.assert_allclose(sparse.weights, dense.weights, rtol=0, atol=1e-6)
     np.testing.assert_allclose(sparse.bias, dense.bias, rtol=0, atol=1e-6)
     np.testing.assert_array_equal(predict(sparse, sp.csr_matrix(x)), predict(dense, x))

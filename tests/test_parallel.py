@@ -45,3 +45,8 @@ def test_workers_are_capped_at_the_usable_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert parallel_map(lambda x: x * x, range(5), jobs=10**6) == [0, 1, 4, 9, 16]
     assert asked == [2]
+    # one usable CPU leaves one worker: the items run here and no pool starts
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert parallel_map(lambda x: x * x, range(4), jobs=4) == [0, 1, 4, 9]
+    assert asked == [2]
