@@ -330,10 +330,14 @@ def _read_trial_rows(path: Path, k_filter: int | None) -> list[TrialResult]:
 
 
 def _read_external(path: Path) -> dict[str, dict[str, float]]:
+    table: dict[str, dict[str, float]] = {}
+
     def parse(row) -> tuple[str, str, float]:
+        # the loop below files each row before the next one is parsed
+        if row["dataset"] in table.get(row["method"], {}):
+            raise ValueError(f"repeated method and dataset {row['method']!r}, {row['dataset']!r}")
         return row["method"], row["dataset"], _fraction(row["accuracy"])
 
-    table: dict[str, dict[str, float]] = {}
     for method, dataset, accuracy in _csv_rows(path, {"method", "dataset", "accuracy"}, parse):
         table.setdefault(method, {})[dataset] = accuracy
     return table

@@ -251,7 +251,7 @@ def homophily(ds: LabeledDataset) -> float:
     if not active.any():
         raise DatasetError("homophily undefined: all nodes are isolated")
     row = np.repeat(np.arange(g.n), d)
-    same = (ds.labels[row] == ds.labels[g.indices]).astype(np.float64)
+    same = (ds.labels[row] == ds.labels[g.adjacency.indices]).astype(np.float64)
     same_counts = np.bincount(row, weights=same, minlength=g.n)
     fractions = same_counts[active] / d[active]
     return float(fractions.mean())

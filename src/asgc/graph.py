@@ -83,6 +83,7 @@ class Graph:
 
     @property
     def indices(self) -> np.ndarray:
+        # read only by the benchmark's generate_sbm hook; ROADMAP item 2 deletes it
         return self.adjacency.indices
 
 
@@ -112,23 +113,12 @@ def normalized_adjacency(g: Graph, add_self_loops: bool = False) -> PropagationO
     and column (their inverse square-root degree is taken as 0), which keeps
     the operator total on graphs with isolated nodes.
     """
-    n = g.n
-    d = degrees(g).astype(np.float64)
-    # copies, so the operator never shares g.adjacency's arrays
-    indptr, indices = g.adjacency.indptr.copy(), g.adjacency.indices.copy()
-    if add_self_loops:
-        # each diagonal entry goes after the row's neighbours with smaller ids
-        row = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
-        at = indptr[:-1] + np.bincount(row[indices < row], minlength=n)
-        indices = np.insert(indices, at, np.arange(n, dtype=indices.dtype))
-        indptr += np.arange(n + 1, dtype=indptr.dtype)
-        d += 1.0
-    row = np.repeat(np.arange(n), np.diff(indptr))
+    a = g.adjacency + sp.identity(g.n, format="csr") if add_self_loops else g.adjacency.copy()
+    counts = np.diff(a.indptr)  # one entry per neighbour (and self-loop): the degrees d'
+    row, d = np.repeat(np.arange(g.n), counts), counts.astype(np.float64)
     # every stored entry touches two nodes of effective degree >= 1, so the
     # zero-degree convention (all-zero row/column) never divides by zero here
-    values = 1.0 / np.sqrt(d[row] * d.take(indices))  # take: no int32 -> intp index copy
-    a = sp.csr_matrix((values, indices, indptr), shape=(n, n))
-    a.has_canonical_format = True
+    a.data = 1.0 / np.sqrt(d[row] * d.take(a.indices))  # take: no int32 -> intp index copy
     return PropagationOperator(csr=a)
 
 

@@ -136,6 +136,20 @@ def test_zero_trials_gives_bad_data_code(toy_manifest, tmp_path, subcommand):
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("subcommand", ["classify", "sweep"])
+def test_single_class_dataset_fails_cleanly(toy_manifest, tmp_path, capsys, subcommand, jobs):
+    labels = toy_manifest.parent / "toy.labels"
+    labels.write_text("0\n" * len(labels.read_text().splitlines()))
+    out = tmp_path / "out"
+    args = [subcommand, "--manifest", str(toy_manifest), "--dataset", "toy", "--trials", "2"]
+    args += ["--method", "raw"] if subcommand == "classify" else ["--k-min", "1", "--k-max", "1"]
+    assert main(args + ["--jobs", jobs, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: single-class training set: need at least two distinct labels\n"
+    assert not list(out.glob("*.csv"))
+
+
 @pytest.mark.parametrize(
     "subcommand, methods",
     [("classify", ["--method", "combo"]), ("sweep", ["--method", "raw", "--method", "combo"])],
@@ -346,6 +360,17 @@ def test_aggregate_rejects_an_accuracy_outside_0_1(tmp_path, capsys, value, sour
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert f"{source}.csv:2: accuracy must be a fraction in [0, 1], got {value}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_aggregate_rejects_a_repeated_external_method_and_dataset(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text(RESULTS_HEADER + "toy,raw,1,0,1,0.5\n")
+    external = tmp_path / "external.csv"
+    external.write_text("method,dataset,accuracy\ndeep,toy,0.9\ndeep,big,0.8\ndeep,toy,0.4\n")
+    argv = ["aggregate", "--results", str(results), "--external", str(external)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 4
+    assert "external.csv:4: repeated method and dataset 'deep', 'toy'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -51,10 +51,13 @@ def test_from_edges_builds_a_symmetric_canonical_loop_free_0_1_csr(case):
     np.testing.assert_array_equal(a.toarray(), want)
     before = [arr.copy() for arr in (a.data, a.indices, a.indptr)]
     for loops in (False, True):
-        normalized_adjacency(g, loops)
+        op = normalized_adjacency(g, loops).csr
         assert g.adjacency is a
         for old, new in zip(before, (a.data, a.indices, a.indptr)):
             np.testing.assert_array_equal(new, old)
+        for mine in (op.data, op.indices, op.indptr):
+            for theirs in (a.data, a.indices, a.indptr):
+                assert not np.shares_memory(mine, theirs)
 
 
 def coo_adjacency(n, edges):

@@ -39,7 +39,7 @@ def test_generation_reproducible_from_seed():
     g1, x1, y1 = generate_sbm(cfg)
     g2, x2, y2 = generate_sbm(cfg)
     assert np.array_equal(g1.adjacency.indptr, g2.adjacency.indptr)
-    assert np.array_equal(g1.indices, g2.indices)
+    assert np.array_equal(g1.adjacency.indices, g2.adjacency.indices)
     assert np.array_equal(x1, x2)
     assert np.array_equal(y1, y2)
 
