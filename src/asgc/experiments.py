@@ -17,10 +17,15 @@ same 80% of labels before testing.
 There is one trial loop, :func:`k_sweep`; :func:`classification_trials` is a
 sweep of one hop count. ``jobs`` spreads each hop count's trials over a
 process pool without changing any result.
+
+Fits and scores read contiguous row blocks: a trial lays out the rows of a
+dense matrix in its split's order (train, validation, test), so the
+classifier gets views, never row-gathered copies, and the same bits.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -91,6 +96,8 @@ def run_method(
 
     ``features`` maps each method name to its matrix at ``k_hops`` (see
     :func:`method_features`); when omitted, the matrices are computed here.
+    A dense matrix is reordered in place for the fit and put back before
+    this returns, also if the fit raises.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -101,13 +108,16 @@ def run_method(
             ds, split, ds.features, features["sgc"], features["asgc"],
             resolution=resolution, k_hops=k_hops,
         )
-    fit_idx = np.concatenate([split.train, split.validation])
+    order = _split_order(split)
+    n_fit = len(split.train) + len(split.validation)
+    with _rows_in_order(features[method], order) as x:
+        test_accuracy = _fit_score(x, ds.labels[order], slice(None, n_fit), slice(n_fit, None))
     return TrialResult(
         dataset=ds.name,
         method=method,
         k_hops=k_hops,
         seed=split.seed,
-        test_accuracy=_fit_score(features[method], ds.labels, fit_idx, split.test),
+        test_accuracy=test_accuracy,
     )
 
 
@@ -115,6 +125,65 @@ def _fit_score(x, y, fit_rows, score_rows) -> float:
     """Fit the classifier on rows ``fit_rows`` of ``x`` and score it on ``score_rows``."""
     model = fit_logistic(x[fit_rows], y[fit_rows])
     return accuracy(predict(model, x[score_rows]), y[score_rows])
+
+
+def _split_order(split: SplitSpec) -> np.ndarray:
+    """Every node once: train, then validation, then test.
+
+    Each set is sorted, so its block holds the rows a gather by the set would.
+    """
+    return np.concatenate([split.train, split.validation, split.test])
+
+
+def _reorder_rows(x: np.ndarray, order) -> None:
+    """Make ``x`` equal ``x[order]`` in place, for a permutation ``order`` of its rows.
+
+    Each cycle of the permutation is walked with one row held aside, so no
+    copy of ``x`` is made.
+    """
+    order = np.asarray(order).tolist()
+    done = [False] * len(order)
+    for start, target in enumerate(order):
+        if done[start] or target == start:
+            continue
+        held = x[start].copy()
+        i = start
+        while order[i] != start:
+            done[i] = True
+            x[i] = x[order[i]]
+            i = order[i]
+        done[i] = True
+        x[i] = held
+
+
+@contextmanager
+def _rows_in_order(x, order):
+    """``x`` with its rows in ``order``, for the duration of the ``with`` block.
+
+    A C-ordered, writable array is reordered in place and put back on exit,
+    also when the block raises, so the caller's bytes are left as they were.
+    Any other dense array is first copied to C order, the layout a row gather
+    gives. A sparse matrix is gathered as CSR: its rows cost only their
+    nonzeros.
+    """
+    if sp.issparse(x):
+        yield sp.csr_matrix(x)[order]
+        return
+    x = np.asarray(x)
+    if not (x.flags.c_contiguous and x.flags.writeable):
+        x = np.array(x, order="C")
+    _reorder_rows(x, order)
+    try:
+        yield x
+    finally:
+        _reorder_rows(x, np.argsort(order))
+
+
+def _blend_in_order(x_raw, x_sgc, x_asgc, weights, order) -> np.ndarray:
+    """A new array: the blend at ``weights``, its rows in ``order``."""
+    blended = np.ascontiguousarray(blend(x_raw, x_sgc, x_asgc, weights))
+    _reorder_rows(blended, order)
+    return blended
 
 
 def combo_search(
@@ -132,23 +201,31 @@ def combo_search(
     strictly better validation accuracy is required to displace the incumbent,
     so ties resolve to the first maximum seen. The winning blend is retrained
     on train + validation and scored on test. A sparse ``x_raw`` is densified
-    once, here, for every blend of the search.
+    once, here, for every blend of the search. Each blend is a new array,
+    laid out in split order; the three inputs are never written.
     """
     if sp.issparse(x_raw):
         x_raw = x_raw.toarray()
-    y = ds.labels
+    order = _split_order(split)
+    y = ds.labels[order]
+    n_train = len(split.train)
+    n_fit = n_train + len(split.validation)
     best_weights: tuple[float, float, float] | None = None
     best_val = -np.inf
     for weights in simplex_grid(resolution):
-        blended = blend(x_raw, x_sgc, x_asgc, weights)
-        val_acc = _fit_score(blended, y, split.train, split.validation)
+        # each blend is passed, not named, so it is freed before the next is built
+        val_acc = _fit_score(
+            _blend_in_order(x_raw, x_sgc, x_asgc, weights, order), y,
+            slice(None, n_train), slice(n_train, n_fit),
+        )
         if val_acc > best_val:
             best_val = val_acc
             best_weights = weights
     assert best_weights is not None
-    blended = blend(x_raw, x_sgc, x_asgc, best_weights)
-    fit_idx = np.concatenate([split.train, split.validation])
-    test_accuracy = _fit_score(blended, y, fit_idx, split.test)
+    test_accuracy = _fit_score(
+        _blend_in_order(x_raw, x_sgc, x_asgc, best_weights, order), y,
+        slice(None, n_fit), slice(n_fit, None),
+    )
     return TrialResult(
         dataset=ds.name,
         method="combo",

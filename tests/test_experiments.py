@@ -1,14 +1,18 @@
 import multiprocessing
 import os
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize  # noqa: F401  # the first fit imports it; here it stays out of traced peaks
 import scipy.sparse as sp
 
 import asgc.experiments as experiments
 from asgc import (
+    Graph,
+    LabeledDataset,
     TrialResult,
     accuracy,
     aggregate,
@@ -234,6 +238,93 @@ def test_classification_trials_is_a_one_k_sweep(method):
     got = classification_trials(ds, method, 2, trials=2, seed=3, resolution=1)
     assert got == k_sweep(ds, [method], [2], trials=2, seed=3, resolution=1)
     assert [r.trial for r in got] == [0, 1]
+
+
+def dense_case(n=2000, f=300, seed=0):
+    """A two-class set with an n x f dense feature matrix; the graph is a path."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, n)
+    x = rng.standard_normal((n, f))
+    x[:, 0] += 3.0 * y
+    g = Graph.from_edges(n, [[i, i + 1] for i in range(n - 1)])
+    return LabeledDataset("dense", g, x, y), x
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_method_fits_without_a_gathered_copy_of_the_features():
+    ds, x = dense_case()
+    split = make_splits(ds.n, seed=0)
+    peak = traced_peak(lambda: run_method(ds, split, "sgc", features={"sgc": x}))
+    # a copy of the train + validation rows alone would be 0.8 of the matrix
+    assert peak < x.nbytes / 2
+
+
+def test_combo_search_holds_one_blend_and_no_gathered_copy():
+    ds, x = dense_case()
+    split = make_splits(ds.n, seed=0)
+    x_sgc, x_asgc = x[::-1].copy(), -x
+    peak = traced_peak(lambda: combo_search(ds, split, x, x_sgc, x_asgc, resolution=1))
+    assert peak < 1.5 * x.nbytes  # one blend, and less than one gathered copy besides
+
+
+def test_dense_method_scores_the_bits_of_a_row_gathered_fit():
+    ds = toy_dataset(seed=2)
+    x = experiments.method_features(ds, "asgc", 3)
+    split = make_splits(ds.n, seed=5)
+    fit_idx = np.concatenate([split.train, split.validation])
+    model = fit_logistic(x[fit_idx], ds.labels[fit_idx])
+    want = accuracy(predict(model, x[split.test]), ds.labels[split.test])
+    assert run_method(ds, split, "asgc", k_hops=3, features={"asgc": x}).test_accuracy == want
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "fit_raises"])
+def test_callers_arrays_keep_their_bytes(monkeypatch, fails):
+    ds = toy_dataset(seed=4)
+    split = make_splits(ds.n, seed=1)
+    features = experiments._features(ds, ["sgc", "asgc", "combo"], 2)
+    arrays = [ds.features, features["sgc"], features["asgc"]]
+    before = [a.tobytes() for a in arrays]
+    if fails:
+        def failing(*args, **kwargs):
+            raise RuntimeError("fit failed")
+
+        monkeypatch.setattr(experiments, "fit_logistic", failing)
+    calls = [
+        lambda: run_method(ds, split, "sgc", 2, features=features),
+        lambda: run_method(ds, split, "asgc", 2, features=features),
+        lambda: run_method(ds, split, "combo", 2, resolution=2, features=features),
+        lambda: combo_search(ds, split, *arrays, resolution=2),
+    ]
+    for call in calls:
+        if fails:
+            with pytest.raises(RuntimeError, match="fit failed"):
+                call()
+        else:
+            call()
+        assert [a.tobytes() for a in arrays] == before
+
+
+def test_read_only_fortran_ordered_features_fit_as_their_c_ordered_form():
+    ds = toy_dataset(seed=6)
+    split = make_splits(ds.n, seed=3)
+    features = experiments._features(ds, ["sgc", "asgc", "combo"], 2)
+    odd = {m: np.asfortranarray(x) for m, x in features.items()}
+    for x in odd.values():
+        x.flags.writeable = False
+    for method in ("sgc", "asgc", "combo"):
+        want = run_method(ds, split, method, 2, resolution=2, features=features)
+        assert run_method(ds, split, method, 2, resolution=2, features=odd) == want
+    want = combo_search(ds, split, ds.features, features["sgc"], features["asgc"], resolution=2)
+    got = combo_search(ds, split, np.asfortranarray(ds.features), odd["sgc"], odd["asgc"], resolution=2)
+    assert got == want
 
 
 def test_k_sweep_rejects_empty_inputs():
