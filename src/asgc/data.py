@@ -82,21 +82,45 @@ def _read_edges(path) -> np.ndarray:
     return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 
 
+# characters on which numpy's parser and the line loop part ways: the
+# str.splitlines separators beyond "\n" and "\r", which a file's own newline
+# handling keeps inside a line, and "\x1f", which numpy strips as whitespace
+_LOOP_ONLY = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
+
+
+def _loadtxt_agrees(path) -> bool:
+    """True if ``np.loadtxt`` given the path parses the file as the line loop does.
+
+    Where it succeeds it gives the loop's array, and it rejects every file
+    the loop rejects, except those ruled out here: an all-blank file, on
+    which numpy only warns, a file with one of ``_LOOP_ONLY``, and a name
+    numpy would open as compressed. One streamed pass over the text, held
+    one chunk at a time.
+    """
+    if Path(path).suffix in (".bz2", ".gz", ".xz", ".lzma"):
+        return False
+    blank = True
+    with open(path) as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), ""):
+            # nine substring scans: ~1 ms on a 7.8 MB file, where a regex took 37
+            if any(c in chunk for c in _LOOP_ONLY):
+                return False
+            blank = blank and chunk.isspace()
+    return not blank
+
+
 def _read_features(path) -> np.ndarray:
-    text = Path(path).read_text()
-    lines = text.splitlines()
     out = None
-    # numpy's C parser on the same lines rejects every file the loop below
-    # rejects, except that it would only warn on an all-blank file and strips
-    # "\x1f" as whitespace; on a rejection the loop names the offending line.
-    if any(lines) and "\x1f" not in text:
+    # on a rejection the loop names the offending line
+    if _loadtxt_agrees(path):
         try:
-            out = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None, dtype=np.float64)
+            out = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, dtype=np.float64)
         except ValueError:
             pass
     if out is None:
         out = _parse_feature_rows(path)
-    if not np.isfinite(out).all():
+    # never empty; a NaN spreads to both extremes, so no n x f mask is needed
+    if not (np.isfinite(out.min()) and np.isfinite(out.max())):
         raise DatasetError(f"{path}: features must be finite")
     return out
 

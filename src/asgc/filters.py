@@ -18,9 +18,9 @@ import scipy.sparse as sp
 from .graph import Graph, GraphError, normalized_adjacency, propagate
 from .numeric import least_squares
 
-# feature columns propagated together by asgc_filter; its hop block holds
-# ASGC_CHUNK x K x n floats (3.5 MB at K=10 on 2,708 nodes), one contiguous
-# n-row per (column, hop), so each hop is written in one sequential pass
+# feature columns propagated together by asgc_filter. Each call allocates one
+# ASGC_CHUNK x K x n hop block (3.5 MB at K=10 on 2,708 nodes) and reuses it for
+# every chunk; a (column, hop) pair is one contiguous n-row of it
 ASGC_CHUNK = 16
 
 
@@ -83,24 +83,29 @@ def asgc_filter(g: Graph, x, k_hops: int = 6) -> AsgcResult:
     coefficients = np.zeros((f, k_hops))
     residual_norms = np.zeros(f)
     live = np.flatnonzero(np.asarray((cols != 0).sum(axis=0)))  # a stored zero is a zero
+    # one workspace per call, reused by every chunk: hops[c, k] is S^(k+1)
+    # applied to the chunk's column c, out[c] its reconstruction
+    chunk = min(ASGC_CHUNK, len(live))
+    hops = np.empty((chunk, k_hops, n))
+    out = np.empty((chunk, n))
+    # a C-ordered n x K basis: an F-ordered one takes another gemv kernel in
+    # basis @ coefficients and moves the last bits
+    basis = np.empty((n, k_hops))
     for start in range(0, len(live), ASGC_CHUNK):
         idx = live[start : start + ASGC_CHUNK]
+        m = len(idx)
         t = cols[:, idx].toarray() if sp.issparse(cols) else cols[:, idx]
         targets = t.T.copy()
-        # hops[c, k] is S^(k+1) applied to column idx[c]
-        hops = np.empty((len(idx), k_hops, n))
         for k in range(k_hops):
             t = propagate(op, t)
-            hops[:, k, :] = t.T
-        out = np.empty((len(idx), n))
+            hops[:m, k, :] = t.T
         for c, j in enumerate(idx):
-            # a C-ordered n x K basis: an F-ordered one takes another gemv
-            # kernel in basis @ coefficients and moves the last bits
-            sol = least_squares(np.ascontiguousarray(hops[c].T), targets[c])
+            np.copyto(basis, hops[c].T)
+            sol = least_squares(basis, targets[c])
             coefficients[j] = sol.coefficients
             residual_norms[j] = sol.residual_norm
             out[c] = sol.fitted
-        filtered[:, idx] = out.T
+        filtered[:, idx] = out[:m].T
     return AsgcResult(
         filtered=filtered[:, 0] if single else filtered,
         coefficients=coefficients,

@@ -115,10 +115,14 @@ def normalized_adjacency(g: Graph, add_self_loops: bool = False) -> PropagationO
     """
     a = g.adjacency + sp.identity(g.n, format="csr") if add_self_loops else g.adjacency.copy()
     counts = np.diff(a.indptr)  # one entry per neighbour (and self-loop): the degrees d'
-    row, d = np.repeat(np.arange(g.n), counts), counts.astype(np.float64)
+    d = counts.astype(np.float64)
     # every stored entry touches two nodes of effective degree >= 1, so the
-    # zero-degree convention (all-zero row/column) never divides by zero here
-    a.data = 1.0 / np.sqrt(d[row] * d.take(a.indices))  # take: no int32 -> intp index copy
+    # zero-degree convention (all-zero row/column) never divides by zero here.
+    # a.data is a's own new array, so each step writes into it; take makes no
+    # int32 -> intp copy of the indices
+    np.multiply(np.repeat(d, counts), d.take(a.indices), out=a.data)
+    np.sqrt(a.data, out=a.data)
+    np.divide(1.0, a.data, out=a.data)
     return PropagationOperator(csr=a)
 
 

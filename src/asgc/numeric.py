@@ -173,7 +173,10 @@ def fit_logistic(
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError("x must be n x f with one label per row")
-    if not np.isfinite(x.data if scipy.sparse.issparse(x) else x).all():
+    # a NaN spreads to both extremes and an inf is one of them, so two
+    # reductions check every value without an n x f mask
+    values = x.data if scipy.sparse.issparse(x) else x
+    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
         raise ValueError("fit_logistic requires finite features")
     classes, y_index = np.unique(y, return_inverse=True)
     if len(classes) < 2:

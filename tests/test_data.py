@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from asgc import (
     load_manifest,
     make_splits,
 )
+from asgc import data
 
 # (nodes, undirected edges, features, classes) for the reference benchmarks
 KNOWN_SHAPES = {
@@ -74,6 +76,36 @@ def test_load_rejects_ragged_features(tmp_path):
     f.write_text("1.0,2.0\n3.0\n")
     with pytest.raises(DatasetError, match="ragged"):
         load_dataset(e, f, l)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_load_rejects_non_finite_features(tmp_path, value):
+    e, f, l = write_dataset(tmp_path, edges=[(0, 1)], features=[[1.0], [2.0]], labels=[0, 1])
+    f.write_text(f"1.0,2.0\n3.0,{value}\n")
+    with pytest.raises(DatasetError, match=r"toy\.features: features must be finite$"):
+        load_dataset(e, f, l)
+
+
+def test_feature_parse_holds_no_copy_of_the_file_text(tmp_path):
+    rows = np.random.default_rng(0).integers(0, 2, (2000, 500))
+    path = tmp_path / "x.features"
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in rows.tolist()))
+    tracemalloc.start()
+    try:
+        out = data._read_features(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(out, rows)
+    # the file's text and its list of lines would each add a quarter of the array
+    assert peak < 1.3 * out.nbytes
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_plain_feature_file_with_a_compressed_suffix_parses_as_text(tmp_path, suffix):
+    path = tmp_path / f"x.features{suffix}"  # numpy's loadtxt would try to decompress it
+    path.write_text("1,2\n3,4\n")
+    assert data._read_features(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_load_rejects_unparseable_edges(tmp_path):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -117,6 +118,39 @@ def test_separable_blobs_train_accurately():
 def test_single_class_rejected():
     with pytest.raises(ValueError, match="single-class"):
         fit_logistic(np.ones((5, 2)), np.zeros(5, dtype=int))
+
+
+@pytest.mark.parametrize("form", [np.asarray, sp.csr_matrix])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_fit_rejects_non_finite_features(form, value):
+    x = np.eye(4)
+    x[2, 1] = value
+    with pytest.raises(ValueError, match="^fit_logistic requires finite features$"):
+        fit_logistic(form(x), [0, 1, 0, 1])
+
+
+def test_all_zero_sparse_features_still_train():
+    x = sp.csr_matrix((4, 3))  # no stored values at all
+    model = fit_logistic(x, [0, 1, 1, 1])
+    np.testing.assert_array_equal(model.weights, 0.0)
+    np.testing.assert_array_equal(predict(model, x), [1, 1, 1, 1])
+
+
+def test_fit_checks_finiteness_without_a_mask_of_the_features():
+    import scipy.optimize  # noqa: F401  (the first fit imports it; not traced here)
+
+    rng = np.random.default_rng(6)
+    n, f = 2000, 1000
+    x = rng.standard_normal((n, f))
+    tracemalloc.start()
+    try:
+        with pytest.warns(RuntimeWarning, match="did not converge"):
+            fit_logistic(x, (x[:, 0] > 0).astype(int), max_iter=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an n x f boolean mask alone is n * f bytes; the optimizer's state is ~0.4 of it
+    assert peak < 0.6 * n * f
 
 
 def test_duplicating_rows_gives_identical_model():
