@@ -9,8 +9,6 @@ multi-trial classification protocol with a convex-combination search.
 from .data import (
     DatasetError,
     LabeledDataset,
-    ManifestEntry,
-    SplitSpec,
     homophily,
     load_dataset,
     load_from_manifest,
@@ -19,7 +17,6 @@ from .data import (
 )
 from .experiments import (
     METHODS,
-    AggregateReport,
     TrialResult,
     aggregate,
     classification_trials,
@@ -28,7 +25,6 @@ from .experiments import (
     run_method,
 )
 from .filters import (
-    AsgcResult,
     asgc_filter,
     blend,
     sgc_filter,
@@ -44,7 +40,6 @@ from .graph import (
     propagate,
 )
 from .numeric import (
-    LeastSquaresSolution,
     LogisticModel,
     accuracy,
     fit_logistic,
@@ -54,7 +49,6 @@ from .numeric import (
 from .parallel import spawn_seed
 from .synthetic import (
     DenoiseReport,
-    MethodDenoise,
     SbmConfig,
     denoise_metrics,
     denoise_trial,
@@ -65,21 +59,15 @@ from .synthetic import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregateReport",
-    "AsgcResult",
     "DatasetError",
     "DenoiseReport",
     "Graph",
     "GraphError",
     "LabeledDataset",
-    "LeastSquaresSolution",
     "LogisticModel",
     "METHODS",
-    "ManifestEntry",
-    "MethodDenoise",
     "PropagationOperator",
     "SbmConfig",
-    "SplitSpec",
     "TrialResult",
     "accuracy",
     "aggregate",

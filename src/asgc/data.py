@@ -8,10 +8,16 @@ File formats (all plain text, documented in the README):
 * labels: one integer per line; classes must be exactly 0..L-1.
 * manifest: ``<name>.edges = <path>`` style key-value lines binding a dataset
   name to its three files, with an optional ``<name>.nodes`` expected count.
+
+Edges, features and labels go through one reader, ``_read_table``: numpy's C
+``loadtxt`` where a streamed scan shows it parses the file as the line loop
+would, and otherwise that loop, which names the first bad line as
+``<path>:<line>:``.
 """
 
 from __future__ import annotations
 
+import array
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,19 +75,6 @@ def _read_lines(path) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def _read_edges(path) -> np.ndarray:
-    pairs = []
-    for lineno, line in _read_lines(path):
-        parts = line.split()
-        if len(parts) != 2:
-            raise DatasetError(f"{path}:{lineno}: expected two node ids, got {line!r}")
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise DatasetError(f"{path}:{lineno}: non-integer node id in {line!r}")
-    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-
-
 # characters on which numpy's parser and the line loop part ways: the
 # str.splitlines separators beyond "\n" and "\r", which a file's own newline
 # handling keeps inside a line, and "\x1f", which numpy strips as whitespace
@@ -89,69 +82,64 @@ _LOOP_ONLY = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
 
 
 def _loadtxt_agrees(path) -> bool:
-    """True if ``np.loadtxt`` given the path parses the file as the line loop does.
+    """True unless ``np.loadtxt`` given the path could parse it unlike the line loop.
 
-    Where it succeeds it gives the loop's array, and it rejects every file
-    the loop rejects, except those ruled out here: an all-blank file, on
-    which numpy only warns, a file with one of ``_LOOP_ONLY``, and a name
-    numpy would open as compressed. One streamed pass over the text, held
-    one chunk at a time.
+    Ruled out here: a file with one of ``_LOOP_ONLY`` and a name numpy would
+    open as compressed. One streamed pass over the text, held one chunk at a
+    time.
     """
     if Path(path).suffix in (".bz2", ".gz", ".xz", ".lzma"):
         return False
-    blank = True
     with open(path) as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), ""):
+        for chunk in iter(lambda: fh.read(1 << 16), ""):
             # nine substring scans: ~1 ms on a 7.8 MB file, where a regex took 37
             if any(c in chunk for c in _LOOP_ONLY):
                 return False
-            blank = blank and chunk.isspace()
-    return not blank
+    return True
+
+
+def _read_table(path, what: str, parse: type, sep=None, width=None) -> np.ndarray:
+    """Parse rows of ``sep``-separated ``parse`` values (``int`` or ``float``).
+
+    Every row has ``width`` values, or the first row's count if that is None.
+    numpy's C ``loadtxt`` reads the file where ``_loadtxt_agrees``. Where it
+    does not, or where ``loadtxt`` rejects the file, warns (an all-blank file;
+    on older numpy, an integer written as a float) or gives another width, a
+    line loop parses it with ``parse`` and names the first bad line.
+    """
+    dtype, typecode = (np.int64, "q") if parse is int else (np.float64, "d")
+    if _loadtxt_agrees(path):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = np.loadtxt(path, dtype=dtype, delimiter=sep, ndmin=2, comments=None)
+            if width in (None, out.shape[1]):
+                return out
+        except (ValueError, Warning):
+            pass
+    # one flat buffer: an object per row would outweigh an edge's 16 bytes
+    values = array.array(typecode)
+    for lineno, line in _read_lines(path):
+        try:
+            row = array.array(typecode, map(parse, line.split(sep)))
+        except (ValueError, OverflowError):
+            raise DatasetError(f"{path}:{lineno}: unparseable {what} row")
+        width = width or len(row)
+        if len(row) != width:
+            raise DatasetError(f"{path}:{lineno}: ragged {what} row ({len(row)} != {width})")
+        values += row
+    # only an empty feature file leaves the width unknown
+    return np.frombuffer(values, dtype).reshape(-1, width or 1)
 
 
 def _read_features(path) -> np.ndarray:
-    out = None
-    # on a rejection the loop names the offending line
-    if _loadtxt_agrees(path):
-        try:
-            out = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, dtype=np.float64)
-        except ValueError:
-            pass
-    if out is None:
-        out = _parse_feature_rows(path)
-    # never empty; a NaN spreads to both extremes, so no n x f mask is needed
+    out = _read_table(path, "feature", float, sep=",")
+    if not out.size:
+        raise DatasetError(f"{path}: empty feature file")
+    # a NaN spreads to both extremes, so no n x f mask is needed
     if not (np.isfinite(out.min()) and np.isfinite(out.max())):
         raise DatasetError(f"{path}: features must be finite")
     return out
-
-
-def _parse_feature_rows(path) -> np.ndarray:
-    """Parse features line by line with ``float``, naming the first bad line."""
-    rows = []
-    width = None
-    for lineno, line in _read_lines(path):
-        try:
-            row = np.fromiter(map(float, line.split(",")), dtype=np.float64)
-        except ValueError:
-            raise DatasetError(f"{path}:{lineno}: unparseable feature row")
-        if width is None:
-            width = len(row)
-        if len(row) != width or width == 0:
-            raise DatasetError(f"{path}:{lineno}: ragged feature row ({len(row)} != {width})")
-        rows.append(row)
-    if not rows:
-        raise DatasetError(f"{path}: empty feature file")
-    return np.vstack(rows)
-
-
-def _read_labels(path) -> np.ndarray:
-    values = []
-    for lineno, line in _read_lines(path):
-        try:
-            values.append(int(line.strip()))
-        except ValueError:
-            raise DatasetError(f"{path}:{lineno}: non-integer label {line!r}")
-    return np.asarray(values, dtype=np.int64)
 
 
 def load_dataset(edge_path, feature_path, label_path, name: str | None = None) -> LabeledDataset:
@@ -162,7 +150,7 @@ def load_dataset(edge_path, feature_path, label_path, name: str | None = None) -
     0..L-1 at least once. Features are returned as a scipy CSR matrix.
     """
     features = sp.csr_matrix(_read_features(feature_path))
-    labels = _read_labels(label_path)
+    labels = _read_table(label_path, "label", int, width=1).ravel()
     n = features.shape[0]
     if labels.shape[0] != n:
         raise DatasetError(
@@ -175,7 +163,7 @@ def load_dataset(edge_path, feature_path, label_path, name: str | None = None) -
     if len(present) != len(expected):
         missing = sorted(set(expected.tolist()) - set(present.tolist()))
         raise DatasetError(f"label gap: classes {missing} absent (labels must be 0..L-1)")
-    edges = _read_edges(edge_path)
+    edges = _read_table(edge_path, "edge", int, width=2)
     try:
         graph = Graph.from_edges(n, edges)
     except GraphError as exc:

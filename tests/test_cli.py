@@ -419,6 +419,21 @@ def test_empty_manifest_value_gives_bad_data_code(toy_manifest, capsys):
     assert "data.manifest:1: empty value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, row, what",
+    [("edges", "99999999999999999999999\t1", "edge"), ("labels", "99999999999999999999999", "label")],
+)
+def test_value_past_int64_gives_bad_data_code_and_the_line(toy_manifest, capsys, kind, row, what):
+    path = toy_manifest.parent / f"toy.{kind}"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], row] + lines[2:]) + "\n")
+    code = main(["homophily", "--manifest", str(toy_manifest), "--dataset", "toy"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert f"{path}:2: unparseable {what} row" in err
+    assert "Traceback" not in err and "OverflowError" not in err
+
+
 def test_missing_manifest_gives_missing_file_code(tmp_path, capsys):
     code = main(["homophily", "--manifest", str(tmp_path / "nope"), "--dataset", "x"])
     assert code == 3

@@ -101,6 +101,21 @@ def test_feature_parse_holds_no_copy_of_the_file_text(tmp_path):
     assert peak < 1.3 * out.nbytes
 
 
+def test_edge_parse_holds_no_copy_of_the_file_text(tmp_path):
+    pairs = np.random.default_rng(0).integers(0, 169_343, (200_000, 2))
+    path = tmp_path / "x.edges"
+    path.write_text("".join(f"{u}\t{v}\n" for u, v in pairs.tolist()))
+    tracemalloc.start()
+    try:
+        out = data._read_table(path, "edge", int, width=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(out, pairs)
+    # a line loop holding the text, its lines and Python int pairs peaked near 12x the array
+    assert peak < 1.3 * out.nbytes
+
+
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
 def test_plain_feature_file_with_a_compressed_suffix_parses_as_text(tmp_path, suffix):
     path = tmp_path / f"x.features{suffix}"  # numpy's loadtxt would try to decompress it
