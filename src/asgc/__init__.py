@@ -33,14 +33,12 @@ from .filters import (
 from .graph import (
     Graph,
     GraphError,
-    PropagationOperator,
     degrees,
     laplacian_quadratic_form,
     normalized_adjacency,
     propagate,
 )
 from .numeric import (
-    LogisticModel,
     accuracy,
     fit_logistic,
     least_squares,
@@ -48,7 +46,6 @@ from .numeric import (
 )
 from .parallel import spawn_seed
 from .synthetic import (
-    DenoiseReport,
     SbmConfig,
     denoise_metrics,
     denoise_trial,
@@ -60,13 +57,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DatasetError",
-    "DenoiseReport",
     "Graph",
     "GraphError",
     "LabeledDataset",
-    "LogisticModel",
     "METHODS",
-    "PropagationOperator",
     "SbmConfig",
     "TrialResult",
     "accuracy",

@@ -32,10 +32,8 @@ from .experiments import (
     k_sweep,
 )
 from .filters import asgc_filter, sgc_filter
-from .graph import GraphError
 from .synthetic import METHODS as SYNTH_METHODS, run_sweep
 
-EXIT_OK = 0
 EXIT_MISSING_FILE = 3
 EXIT_BAD_DATA = 4
 
@@ -141,7 +139,7 @@ def svg_line_chart(path: Path, series, title: str, x_label: str, y_label: str) -
     path.write_text("\n".join(parts) + "\n")
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> Path:
     ratios = np.linspace(args.log_ratio_min, args.log_ratio_max, args.log_ratio_steps)
     reports = run_sweep(
         ratios, trials=args.trials, k_hops=args.k, seed=args.seed, jobs=args.jobs
@@ -166,11 +164,10 @@ def cmd_synth(args) -> int:
             x_label="ln(p/q)",
             y_label=metric,
         )
-    print(f"wrote {csv_path}")
-    return EXIT_OK
+    return csv_path
 
 
-def cmd_filter(args) -> int:
+def cmd_filter(args) -> Path:
     if args.k < 1:
         raise ValueError("k_hops must be >= 1")
     ds = load_from_manifest(args.manifest, args.dataset)
@@ -199,8 +196,7 @@ def cmd_filter(args) -> int:
         ("node",) + tuple(f"f{i}" for i in range(f_count)),
         ((i, *filtered[i].tolist()) for i in range(filtered.shape[0])),
     )
-    print(f"wrote {csv_path}")
-    return EXIT_OK
+    return csv_path
 
 
 def _trial_fields(trial: TrialResult, *extra) -> tuple:
@@ -211,7 +207,7 @@ def _trial_fields(trial: TrialResult, *extra) -> tuple:
     )
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> Path:
     check_sweep([args.method], [args.k], args.trials, args.resolution)
     ds = load_from_manifest(args.manifest, args.dataset)
     results = classification_trials(
@@ -240,11 +236,10 @@ def cmd_classify(args) -> int:
         ),
         rows,
     )
-    print(f"wrote {csv_path}")
-    return EXIT_OK
+    return csv_path
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> Path:
     methods = args.method or list(METHODS)
     check_sweep(methods, range(args.k_min, args.k_max + 1), args.trials, args.resolution)
     ds = load_from_manifest(args.manifest, args.dataset)
@@ -279,8 +274,7 @@ def cmd_sweep(args) -> int:
         x_label="hops",
         y_label="test accuracy",
     )
-    print(f"wrote {csv_path}")
-    return EXIT_OK
+    return csv_path
 
 
 def _csv_rows(path: Path, required: set[str], parse):
@@ -343,7 +337,7 @@ def _read_external(path: Path) -> dict[str, dict[str, float]]:
     return table
 
 
-def cmd_aggregate(args) -> int:
+def cmd_aggregate(args) -> Path:
     results: list[TrialResult] = []
     for path in args.results:
         results.extend(_read_trial_rows(Path(path), args.k))
@@ -378,14 +372,12 @@ def cmd_aggregate(args) -> int:
         ("method", "source", "mean_proportion", "min_proportion"),
         summary_rows,
     )
-    print(f"wrote {out / 'aggregate_summary.csv'}")
-    return EXIT_OK
+    return out / "aggregate_summary.csv"
 
 
-def cmd_homophily(args) -> int:
+def cmd_homophily(args) -> None:
     ds = load_from_manifest(args.manifest, args.dataset)
     print(f"{ds.name}\t{homophily(ds):.6f}")
-    return EXIT_OK
 
 
 def _jobs(text: str) -> int:
@@ -473,16 +465,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        written = args.func(args)
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc}", file=sys.stderr)
         return EXIT_MISSING_FILE
-    except (DatasetError, GraphError, ValueError) as exc:
+    except ValueError as exc:  # DatasetError and GraphError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_DATA
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    if written is not None:
+        print(f"wrote {written}")
+    return 0
 
 
 if __name__ == "__main__":

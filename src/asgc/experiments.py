@@ -55,33 +55,30 @@ class TrialResult:
     trial: int = 0
 
 
-def method_features(ds: LabeledDataset, method: str, k_hops: int) -> np.ndarray | sp.csr_matrix:
-    """The feature matrix a non-combo method trains on at hop count ``k_hops``.
+def method_features(
+    ds: LabeledDataset, methods: Iterable[str], k_hops: int
+) -> dict[str, np.ndarray | sp.csr_matrix]:
+    """Every matrix the given methods train on at hop count ``k_hops``, each built once.
 
-    ``raw`` is a scipy CSR matrix, so the classifier's cost follows the
-    nonzeros; CSR ``ds.features`` are used as they are, without a copy.
-    ``combo`` blends a dense form of ``ds.features`` with the ``sgc`` and
-    ``asgc`` matrices and has no matrix of its own.
-    """
-    if method == "raw":
-        return sp.csr_matrix(ds.features)
-    if method == "sgc":
-        return sgc_filter(ds.graph, ds.features, k_hops)
-    if method == "sgc1":
-        return sgc_filter(ds.graph, ds.features, 1)
-    if method == "asgc":
-        return asgc_filter(ds.graph, ds.features, k_hops).filtered
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _features(ds, methods, k_hops) -> dict[str, np.ndarray | sp.csr_matrix]:
-    """Every matrix the given methods train on at one hop count, each built once.
-
+    Keys come in :data:`METHODS` order. ``raw`` is a scipy CSR matrix, so the
+    classifier's cost follows the nonzeros; CSR ``ds.features`` are used as
+    they are, without a copy. ``combo`` has no matrix of its own: it needs
+    ``sgc`` and ``asgc``, which it blends with a dense form of ``ds.features``.
     Filtering is unsupervised, so the matrices depend only on (dataset, k) and
     are shared across methods and splits.
     """
-    need = {n for m in methods for n in (("sgc", "asgc") if m == "combo" else (m,))}
-    return {m: method_features(ds, m, k_hops) for m in METHODS if m in need}
+    need = set()
+    for m in methods:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+        need.update(("sgc", "asgc") if m == "combo" else (m,))
+    builds = {  # the filters are looked up when called, so patches of this module apply
+        "raw": lambda: sp.csr_matrix(ds.features),
+        "sgc": lambda: sgc_filter(ds.graph, ds.features, k_hops),
+        "sgc1": lambda: sgc_filter(ds.graph, ds.features, 1),
+        "asgc": lambda: asgc_filter(ds.graph, ds.features, k_hops).filtered,
+    }
+    return {m: build() for m, build in builds.items() if m in need}
 
 
 def run_method(
@@ -99,10 +96,8 @@ def run_method(
     A dense matrix is reordered in place for the fit and put back before
     this returns, also if the fit raises.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if features is None:
-        features = _features(ds, [method], k_hops)
+        features = method_features(ds, [method], k_hops)
     if method == "combo":
         return combo_search(
             ds, split, ds.features, features["sgc"], features["asgc"],
@@ -304,7 +299,7 @@ def k_sweep(
         rows = [{}] * trials  # nothing left to train at this k, so no worker pool either
         if run:
             features = None  # free the previous hop count's matrices before building the next
-            features = _features(ds, run, k)
+            features = method_features(ds, run, k)
             rows = parallel_map(
                 lambda t: {m: run_method(ds, splits[t], m, k, resolution, features) for m in run},
                 range(trials), jobs,

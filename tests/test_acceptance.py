@@ -257,7 +257,7 @@ def test_criterion_7_combo_validation_dominance():
     failures = []
     for ds in (toy_dataset(seed=1, log_ratio=2.0, name="homo"),
                toy_dataset(seed=2, log_ratio=-2.0, name="hetero")):
-        x_sgc, x_asgc = method_features(ds, "sgc", 3), method_features(ds, "asgc", 3)
+        x_sgc, x_asgc = method_features(ds, ["sgc", "asgc"], 3).values()
         for split_rng_seed in (0, 1, 2):
             split = make_splits(ds.n, seed=split_rng_seed)
             trial = combo_search(ds, split, ds.features, x_sgc, x_asgc, resolution=3, k_hops=3)

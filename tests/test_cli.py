@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asgc.cli import main
+from asgc.cli import main, svg_line_chart
 from asgc.experiments import METHODS
 
 
@@ -74,7 +74,7 @@ def test_synth_output_is_byte_identical_across_runs(tmp_path):
     assert a == b
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("jobs", ["0", "-1", "abc"])
 @pytest.mark.parametrize("subcommand", ["synth", "classify", "sweep"])
 def test_jobs_below_one_is_a_usage_error(toy_manifest, tmp_path, capsys, subcommand, jobs):
     out = tmp_path / "out"
@@ -84,8 +84,38 @@ def test_jobs_below_one_is_a_usage_error(toy_manifest, tmp_path, capsys, subcomm
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 2
-    assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+    want = "invalid int value: 'abc'" if jobs == "abc" else f"must be >= 1, got {jobs}"
+    assert f"argument --jobs: {want}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_unexpected_error_in_a_command_exits_1(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("out of luck")
+
+    monkeypatch.setattr("asgc.cli.run_sweep", broken)
+    assert main(["synth", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == ("", "error: RuntimeError: out of luck\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_each_writing_subcommand_prints_the_one_path_it_names(toy_manifest, tmp_path, capsys):
+    out = tmp_path / "out"
+    dataset = ["--manifest", str(toy_manifest), "--dataset", "toy", "--out", str(out)]
+    runs = [
+        (["synth", "--k", "1", "--trials", "1", "--log-ratio-steps", "2", "--out", str(out)],
+         "synth.csv"),
+        (["filter", "--method", "asgc", "--k", "2", *dataset], "toy_asgc_k2_features.csv"),
+        (["classify", "--method", "raw", "--trials", "1", *dataset], "classify_toy_raw.csv"),
+        (["sweep", "--method", "raw", "--k-max", "1", "--trials", "1", *dataset],
+         "sweep_toy.csv"),
+        (["aggregate", "--results", str(out / "sweep_toy.csv"), "--out", str(out)],
+         "aggregate_summary.csv"),
+    ]
+    for argv, name in runs:
+        assert main(argv) == 0
+        assert capsys.readouterr() == (f"wrote {out / name}\n", "")
+        assert (out / name).is_file()
 
 
 def test_homophily_prints_value(toy_manifest, capsys):
@@ -345,6 +375,33 @@ def test_aggregate_bad_value_names_file_and_line(tmp_path, capsys):
 
 
 RESULTS_HEADER = "dataset,method,k_hops,trial,seed,test_accuracy\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("dataset,method,trial,test_accuracy\ntoy,raw,0,0.5\n",
+         "results.csv: missing columns ['k_hops']"),
+        (RESULTS_HEADER + "toy,raw,1,mean,,0.5\n",
+         "no trial rows found in the given result files"),
+    ],
+    ids=["missing_column", "only_mean_rows"],
+)
+def test_aggregate_rejects_results_without_trial_rows(tmp_path, capsys, text, message):
+    results = tmp_path / "results.csv"
+    results.write_text(text)
+    out = tmp_path / "out"
+    assert main(["aggregate", "--results", str(results), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{message}\n")
+    assert not out.exists()
+
+
+def test_svg_line_chart_rejects_empty_series(tmp_path):
+    path = tmp_path / "empty.svg"
+    with pytest.raises(ValueError, match="^cannot plot empty series$"):
+        svg_line_chart(path, [("raw", [])], "title", "x", "y")
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "1.5"])

@@ -65,6 +65,14 @@ def test_load_rejects_label_gap(tmp_path):
         load_dataset(*paths)
 
 
+def test_load_rejects_negative_labels(tmp_path):
+    paths = write_dataset(
+        tmp_path, edges=[(0, 1)], features=[[1.0], [2.0], [3.0]], labels=[0, 1, -1]
+    )
+    with pytest.raises(DatasetError, match="^labels must be nonnegative$"):
+        load_dataset(*paths)
+
+
 def test_load_rejects_out_of_range_edges(tmp_path):
     paths = write_dataset(tmp_path, edges=[(0, 9)], features=[[1.0], [2.0]], labels=[0, 1])
     with pytest.raises(DatasetError):
@@ -294,6 +302,23 @@ def test_manifest_rejects_repeated_key(tmp_path):
     manifest = tmp_path / "data.manifest"
     manifest.write_text("a.edges = e\na.features = f\n\na.edges = g\na.labels = l\n")
     with pytest.raises(DatasetError, match=r"data\.manifest:4: repeated key 'a\.edges'"):
+        load_manifest(manifest)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("edges = e\n", r"data\.manifest:1: key 'edges' must look like 'name\.field'"),
+        ("a.edges = e\na.colour = red\n", r"data\.manifest:2: unknown field 'colour'"),
+        ("a.edges = e\na.features = f\na.labels = l\na.nodes = many\n",
+         r"data\.manifest: dataset 'a' has non-integer node count"),
+    ],
+    ids=["key_without_dot", "unknown_field", "non_integer_nodes"],
+)
+def test_manifest_rejects_malformed_keys_and_values(tmp_path, text, message):
+    manifest = tmp_path / "data.manifest"
+    manifest.write_text(text)
+    with pytest.raises(DatasetError, match=f"{message}$"):
         load_manifest(manifest)
 
 

@@ -55,6 +55,32 @@ def test_unknown_method_rejected():
         run_method(ds, split, "mystery")
 
 
+def test_method_features_rejects_an_unknown_name_before_filtering(monkeypatch):
+    def no_filtering(*args, **kwargs):
+        pytest.fail("features were filtered before the method names were checked")
+
+    monkeypatch.setattr(experiments, "sgc_filter", no_filtering)
+    with pytest.raises(ValueError, match="unknown method 'mystery'; expected one of"):
+        experiments.method_features(toy_dataset(), ["sgc", "mystery"], 2)
+
+
+def test_method_features_builds_each_needed_matrix_once_in_methods_order(monkeypatch):
+    ds = toy_dataset(n_per_block=20)
+    calls = []
+    for name in ("sgc_filter", "asgc_filter"):
+        real = getattr(experiments, name)
+
+        def counting(g, x, k_hops, real=real, name=name):
+            calls.append((name, k_hops))
+            return real(g, x, k_hops)
+
+        monkeypatch.setattr(experiments, name, counting)
+    got = experiments.method_features(ds, ["combo", "asgc", "sgc1", "raw", "sgc"], 3)
+    assert list(got) == ["raw", "sgc", "sgc1", "asgc"]
+    assert calls == [("sgc_filter", 3), ("sgc_filter", 1), ("asgc_filter", 3)]
+    assert list(experiments.method_features(ds, ["combo"], 3)) == ["sgc", "asgc"]
+
+
 def test_combo_collapses_to_winning_corner():
     ds = toy_dataset(seed=5)
     split = make_splits(ds.n, seed=2)
@@ -92,7 +118,7 @@ def test_combo_trains_grid_count_plus_final(monkeypatch):
 
 def test_combo_validation_dominates_corners():
     ds = toy_dataset(seed=8)
-    x_sgc, x_asgc = (experiments.method_features(ds, m, 3) for m in ("sgc", "asgc"))
+    x_sgc, x_asgc = experiments.method_features(ds, ["sgc", "asgc"], 3).values()
     for seed in (0, 1, 2):
         split = make_splits(ds.n, seed=seed)
         trial = combo_search(ds, split, ds.features, x_sgc, x_asgc, resolution=3, k_hops=3)
@@ -202,7 +228,7 @@ def test_k_sweep_repeats_the_per_k_result_of_k_free_methods():
 
 def test_raw_bundle_is_csr_of_the_features(monkeypatch):
     ds = toy_dataset(n_per_block=20)
-    raw = experiments.method_features(ds, "raw", 2)
+    raw = experiments.method_features(ds, ["raw"], 2)["raw"]
     assert isinstance(raw, sp.csr_matrix)
     assert np.array_equal(raw.toarray(), ds.features)
     seen = []
@@ -277,7 +303,7 @@ def test_combo_search_holds_one_blend_and_no_gathered_copy():
 
 def test_dense_method_scores_the_bits_of_a_row_gathered_fit():
     ds = toy_dataset(seed=2)
-    x = experiments.method_features(ds, "asgc", 3)
+    x = experiments.method_features(ds, ["asgc"], 3)["asgc"]
     split = make_splits(ds.n, seed=5)
     fit_idx = np.concatenate([split.train, split.validation])
     model = fit_logistic(x[fit_idx], ds.labels[fit_idx])
@@ -289,7 +315,7 @@ def test_dense_method_scores_the_bits_of_a_row_gathered_fit():
 def test_callers_arrays_keep_their_bytes(monkeypatch, fails):
     ds = toy_dataset(seed=4)
     split = make_splits(ds.n, seed=1)
-    features = experiments._features(ds, ["sgc", "asgc", "combo"], 2)
+    features = experiments.method_features(ds, ["sgc", "asgc", "combo"], 2)
     arrays = [ds.features, features["sgc"], features["asgc"]]
     before = [a.tobytes() for a in arrays]
     if fails:
@@ -315,7 +341,7 @@ def test_callers_arrays_keep_their_bytes(monkeypatch, fails):
 def test_read_only_fortran_ordered_features_fit_as_their_c_ordered_form():
     ds = toy_dataset(seed=6)
     split = make_splits(ds.n, seed=3)
-    features = experiments._features(ds, ["sgc", "asgc", "combo"], 2)
+    features = experiments.method_features(ds, ["sgc", "asgc", "combo"], 2)
     odd = {m: np.asfortranarray(x) for m, x in features.items()}
     for x in odd.values():
         x.flags.writeable = False
@@ -395,6 +421,20 @@ def test_aggregate_mean_and_std_over_trials():
     report = aggregate(results)
     assert report.accuracy_mean[("A", "d1")] == pytest.approx(0.6)
     assert report.accuracy_std[("A", "d1")] == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize(
+    "results, message",
+    [
+        ([], "no results to aggregate"),
+        ([tr("d1", "A", 0.0), tr("d1", "B", 0.0), tr("d2", "A", 0.5), tr("d2", "B", 0.0)],
+         "no method has positive accuracy on dataset 'd1'"),
+    ],
+    ids=["empty", "all_zero_on_one_dataset"],
+)
+def test_aggregate_rejects_results_it_cannot_scale(results, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        aggregate(results)
 
 
 def test_aggregate_rejects_missing_coverage():

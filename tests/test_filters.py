@@ -59,6 +59,11 @@ def test_sgc_rejects_bad_hops():
 # --- adaptive filter ------------------------------------------------------------
 
 
+def test_asgc_rejects_bad_hops():
+    with pytest.raises(ValueError, match="^k_hops must be >= 1$"):
+        asgc_filter(single_edge_graph(), np.ones(2), 0)
+
+
 def test_asgc_exact_recovery_of_heterophilous_feature():
     res = asgc_filter(single_edge_graph(), np.array([1.0, -1.0]), 1)
     np.testing.assert_allclose(res.coefficients, [[-1.0]], atol=1e-12)

@@ -1,5 +1,6 @@
 """Property tests: the chunked adaptive filter equals its one-column-at-a-time
-loop, and sparse inputs filter to the bits of their dense form."""
+loop, sparse inputs filter to the bits of their dense form, and permuting or
+repeating feature columns permutes or repeats both filters' outputs."""
 
 import numpy as np
 import pytest
@@ -71,3 +72,27 @@ def test_sparse_and_dense_features_filter_to_the_same_bits(problem, k_hops):
         got = asgc_filter(g, form, k_hops)
         for field in ("filtered", "coefficients", "residual_norms"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+@st.composite
+def column_maps(draw):
+    """A filter problem and a column map: a permutation, or any repeats of columns."""
+    g, x = draw(filter_problems())
+    f = x.shape[1]
+    repeats = st.lists(st.integers(0, f - 1), min_size=1, max_size=2 * f)
+    cols = draw(st.one_of(st.permutations(range(f)), repeats))
+    return g, x, np.asarray(cols, dtype=np.intp)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(column_maps(), st.integers(1, 10))
+def test_column_maps_commute_with_both_filters_bit_for_bit(problem, k_hops):
+    g, x, cols = problem
+    want_sgc = sgc_filter(g, x, k_hops)[:, cols]
+    want = asgc_filter(g, x, k_hops)
+    for mapped in (x[:, cols], sp.csr_matrix(x)[:, cols]):
+        assert np.array_equal(sgc_filter(g, mapped, k_hops), want_sgc)
+        got = asgc_filter(g, mapped, k_hops)
+        assert np.array_equal(got.filtered, want.filtered[:, cols])
+        assert np.array_equal(got.coefficients, want.coefficients[cols])
+        assert np.array_equal(got.residual_norms, want.residual_norms[cols])

@@ -54,6 +54,19 @@ def test_from_edges_rejects_ragged_pairs():
         Graph.from_edges(3, [[0, 1], [2]])
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        (np.array([["0", "1"]]), "edges must be numeric node ids, got dtype <U1"),
+        ([[0, 1, 2]], "edges must be an m x 2 array of node ids"),
+    ],
+    ids=["strings", "m_by_3"],
+)
+def test_from_edges_rejects_arrays_that_are_not_m_by_2_ids(edges, message):
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        Graph.from_edges(3, edges)
+
+
 def test_from_edges_rejects_negative_node_count():
     with pytest.raises(GraphError):
         Graph.from_edges(-1, [])
@@ -178,6 +191,11 @@ def test_quadratic_form_rejects_isolated_nodes():
     g = Graph.from_edges(3, [[0, 1]])
     with pytest.raises(GraphError):
         laplacian_quadratic_form(g, np.ones(3))
+
+
+def test_quadratic_form_rejects_wrong_length():
+    with pytest.raises(GraphError, match="^x must be a length-n feature vector$"):
+        laplacian_quadratic_form(triangle_graph(), np.ones(4))
 
 
 def edgewise_quadratic_form(g, x):

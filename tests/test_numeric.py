@@ -224,6 +224,23 @@ def test_predict_rejects_width_mismatch():
         predict(model, np.ones((4, 5)))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: least_squares(np.ones((3, 2)), np.ones(4)),
+         "basis must be n x k and target a length-n vector"),
+        (lambda: least_squares(np.ones((3, 0)), np.ones(3)), "basis needs at least one column"),
+        (lambda: fit_logistic(np.ones((4, 2)), [0, 1, 0]),
+         "x must be n x f with one label per row"),
+        (lambda: accuracy([], []), "cannot score an empty prediction"),
+    ],
+    ids=["lstsq_length", "lstsq_no_columns", "fit_row_count", "accuracy_empty"],
+)
+def test_rejects_mismatched_or_empty_shapes(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_accuracy_counts():
     assert accuracy([1, 1, 0], [1, 0, 0]) == pytest.approx(2 / 3)
     assert accuracy([2, 0, 1], [2, 0, 1]) == 1.0

@@ -167,6 +167,11 @@ def test_denoise_metrics_zeros_count_as_errors():
     assert sign == 1.0
 
 
+def test_denoise_metrics_rejects_a_length_mismatch():
+    with pytest.raises(ValueError, match="^filtered feature and labels must have equal length$"):
+        denoise_metrics(np.zeros(3), np.array([-1, 1]))
+
+
 def test_uninformative_graph_no_filter_beats_raw():
     # at log-ratio zero the graph carries no community signal
     raw_errors, sgc_errors, asgc_errors = [], [], []
