@@ -207,6 +207,14 @@ def _trial_fields(trial: TrialResult, *extra) -> tuple:
     )
 
 
+def _trial_header(*extra) -> tuple:
+    """The column names of :func:`_trial_fields` rows, ``extra`` naming the extra values."""
+    return (
+        "dataset", "method", "k_hops", "trial", "seed",
+        "test_accuracy", *extra, "w_raw", "w_sgc", "w_asgc",
+    )
+
+
 def cmd_classify(args) -> Path:
     check_sweep([args.method], [args.k], args.trials, args.resolution)
     ds = load_from_manifest(args.manifest, args.dataset)
@@ -228,14 +236,7 @@ def cmd_classify(args) -> Path:
     rows.append((ds.name, args.method, args.k, "mean", "", mean_acc, mean_val, *mean_w))
     out = Path(args.out)
     csv_path = out / f"classify_{ds.name}_{args.method}.csv"
-    write_csv(
-        csv_path,
-        (
-            "dataset", "method", "k_hops", "trial", "seed",
-            "test_accuracy", "validation_accuracy", "w_raw", "w_sgc", "w_asgc",
-        ),
-        rows,
-    )
+    write_csv(csv_path, _trial_header("validation_accuracy"), rows)
     return csv_path
 
 
@@ -255,11 +256,7 @@ def cmd_sweep(args) -> Path:
     rows = [_trial_fields(trial) for trial in results]
     out = Path(args.out)
     csv_path = out / f"sweep_{ds.name}.csv"
-    write_csv(
-        csv_path,
-        ("dataset", "method", "k_hops", "trial", "seed", "test_accuracy", "w_raw", "w_sgc", "w_asgc"),
-        rows,
-    )
+    write_csv(csv_path, _trial_header(), rows)
     series = []
     for m in methods:
         pts = []
@@ -391,71 +388,57 @@ def _jobs(text: str) -> int:
     return jobs
 
 
-def _add_dataset_flags(sub):
-    sub.add_argument("--manifest", required=True, help="path to a dataset manifest file")
-    sub.add_argument("--dataset", required=True, help="dataset name from the manifest")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="asgc",
         description="Graph feature filtering and node-classification benchmark toolkit",
     )
-    subparsers = parser.add_subparsers(dest="subcommand", required=True)
+    add = parser.add_subparsers(dest="subcommand", required=True).add_parser
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=".", help="output directory")
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument("--manifest", required=True, help="path to a dataset manifest file")
+    dataset.add_argument("--dataset", required=True, help="dataset name from the manifest")
+    trials = argparse.ArgumentParser(add_help=False)
+    trials.add_argument("--trials", type=int, default=10)
+    trials.add_argument("--seed", type=int, default=0)
+    trials.add_argument("--jobs", type=_jobs, default=1, help="worker processes")
+    protocol = argparse.ArgumentParser(add_help=False, parents=[dataset, trials, out])
+    protocol.add_argument("--resolution", type=int, default=3)
 
-    synth = subparsers.add_parser("synth", help="run the synthetic SBM denoising sweep")
+    synth = add("synth", parents=[trials, out], help="run the synthetic SBM denoising sweep")
     synth.add_argument("--k", type=int, default=6, help="filter hop count")
-    synth.add_argument("--trials", type=int, default=10)
-    synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--log-ratio-min", type=float, default=-5.0)
     synth.add_argument("--log-ratio-max", type=float, default=5.0)
     synth.add_argument("--log-ratio-steps", type=int, default=21)
-    synth.add_argument("--out", default=".", help="output directory")
-    synth.add_argument("--jobs", type=_jobs, default=1, help="worker processes")
     synth.set_defaults(func=cmd_synth)
 
-    filt = subparsers.add_parser("filter", help="write filtered features for a dataset")
-    _add_dataset_flags(filt)
+    filt = add("filter", parents=[dataset, out], help="write filtered features for a dataset")
     filt.add_argument("--method", choices=("sgc", "asgc"), required=True)
     filt.add_argument("--k", type=int, default=6)
-    filt.add_argument("--out", default=".")
     filt.set_defaults(func=cmd_filter)
 
-    classify = subparsers.add_parser("classify", help="multi-trial protocol for one method")
-    _add_dataset_flags(classify)
+    classify = add("classify", parents=[protocol], help="multi-trial protocol for one method")
     classify.add_argument("--method", choices=METHODS, required=True)
     classify.add_argument("--k", type=int, default=6)
-    classify.add_argument("--resolution", type=int, default=3)
-    classify.add_argument("--trials", type=int, default=10)
-    classify.add_argument("--seed", type=int, default=0)
-    classify.add_argument("--out", default=".")
-    classify.add_argument("--jobs", type=_jobs, default=1)
     classify.set_defaults(func=cmd_classify)
 
-    sweep = subparsers.add_parser("sweep", help="hop-count sweep across methods")
-    _add_dataset_flags(sweep)
+    sweep = add("sweep", parents=[protocol], help="hop-count sweep across methods")
     sweep.add_argument(
         "--method", choices=METHODS, action="append",
         help="method to include (repeatable; default: all)",
     )
     sweep.add_argument("--k-min", type=int, default=1)
     sweep.add_argument("--k-max", type=int, default=10)
-    sweep.add_argument("--resolution", type=int, default=3)
-    sweep.add_argument("--trials", type=int, default=10)
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--out", default=".")
-    sweep.add_argument("--jobs", type=_jobs, default=1)
     sweep.set_defaults(func=cmd_sweep)
 
-    agg = subparsers.add_parser("aggregate", help="proportional-accuracy report from result CSVs")
+    agg = add("aggregate", parents=[out], help="proportional-accuracy report from result CSVs")
     agg.add_argument("--results", action="append", required=True, help="classify/sweep CSV (repeatable)")
     agg.add_argument("--external", help="CSV of reported reference accuracies (method,dataset,accuracy)")
     agg.add_argument("--k", type=int, default=None, help="only aggregate rows with this hop count")
-    agg.add_argument("--out", default=".")
     agg.set_defaults(func=cmd_aggregate)
 
-    hom = subparsers.add_parser("homophily", help="print the same-label neighbor statistic")
-    _add_dataset_flags(hom)
+    hom = add("homophily", parents=[dataset], help="print the same-label neighbor statistic")
     hom.set_defaults(func=cmd_homophily)
 
     return parser

@@ -18,6 +18,7 @@ would, and otherwise that loop, which names the first bad line as
 from __future__ import annotations
 
 import array
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,10 +70,17 @@ class SplitSpec:
 
 
 def _read_lines(path) -> Iterator[tuple[int, str]]:
-    """Yield each non-blank line with its 1-based line number in the file."""
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if line.strip():
-            yield lineno, line
+    """Yield each non-blank line with its 1-based line number in the file.
+
+    The lines of ``text.splitlines()``, read one physical line at a time:
+    ``newline=""`` keeps each ``\\r\\n`` whole, and ``splitlines`` splits a
+    physical line at ``\\v``, ``\\f`` and the other separators a file keeps.
+    """
+    with open(path, newline="") as fh:
+        lines = (line for physical in fh for line in physical.splitlines())
+        for lineno, line in enumerate(lines, start=1):
+            if line.strip():
+                yield lineno, line
 
 
 # characters on which numpy's parser and the line loop part ways: the
@@ -266,7 +274,8 @@ def homophily(ds: LabeledDataset) -> float:
     same = (ds.labels[row] == ds.labels[g.adjacency.indices]).astype(np.float64)
     same_counts = np.bincount(row, weights=same, minlength=g.n)
     fractions = same_counts[active] / d[active]
-    return float(fractions.mean())
+    # an exactly rounded sum, so the node order cannot move the last bit
+    return math.fsum(fractions) / len(fractions)
 
 
 def make_splits(n: int, seed: int) -> SplitSpec:

@@ -248,7 +248,10 @@ def classification_trials(
 def check_sweep(
     methods: Sequence[str], k_values: Sequence[int], trials: int, resolution: int
 ) -> None:
-    """Raise ``ValueError`` for arguments :func:`k_sweep` cannot run, before any work."""
+    """Raise ``ValueError`` for arguments :func:`k_sweep` cannot run, before any work.
+
+    Method names are checked where they are looked up, by :func:`method_features`.
+    """
     if not methods or not k_values:
         raise ValueError("methods and k_values must be nonempty")
     if trials < 1:
@@ -257,9 +260,6 @@ def check_sweep(
         raise ValueError("k_hops must be >= 1")
     if "combo" in methods and resolution < 1:
         raise ValueError("resolution must be >= 1")
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}")
     if len(set(methods)) != len(methods):
         raise ValueError(f"methods must not repeat: {methods}")
 

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import multiprocessing
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asgc.cli import main, svg_line_chart
+from asgc.cli import build_parser, main, svg_line_chart
 from asgc.experiments import METHODS
 
 
@@ -448,9 +449,83 @@ def test_aggregate_reads_accuracies_of_0_and_1(tmp_path):
 
 
 def test_unknown_flag_exits_with_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["synth", "--bogus"])
-    assert exc.value.code == 2
+    for argv in (
+        ["synth", "--bogus"],
+        ["classify", "--manifest", "m", "--dataset", "d", "--method", "mystery"],
+        ["sweep", "--manifest", "m", "--dataset", "d", "--method", "mystery"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+# option string: (default, type name, choices, required, action)
+DATASET_FLAGS = {
+    "--manifest": (None, None, None, True, "store"), "--dataset": (None, None, None, True, "store"),
+}
+TRIAL_FLAGS = {
+    "--trials": (10, "int", None, False, "store"), "--seed": (0, "int", None, False, "store"),
+    "--jobs": (1, "_jobs", None, False, "store"),
+}
+OUT_FLAG = {"--out": (".", None, None, False, "store")}
+
+
+@pytest.mark.parametrize(
+    "subcommand, want",
+    [
+        ("synth", {
+            "--k": (6, "int", None, False, "store"),
+            "--log-ratio-min": (-5.0, "float", None, False, "store"),
+            "--log-ratio-max": (5.0, "float", None, False, "store"),
+            "--log-ratio-steps": (21, "int", None, False, "store"),
+            **TRIAL_FLAGS, **OUT_FLAG,
+        }),
+        ("filter", {
+            **DATASET_FLAGS,
+            "--method": (None, None, ("sgc", "asgc"), True, "store"),
+            "--k": (6, "int", None, False, "store"),
+            **OUT_FLAG,
+        }),
+        ("classify", {
+            **DATASET_FLAGS,
+            "--method": (None, None, METHODS, True, "store"),
+            "--k": (6, "int", None, False, "store"),
+            "--resolution": (3, "int", None, False, "store"),
+            **TRIAL_FLAGS, **OUT_FLAG,
+        }),
+        ("sweep", {
+            **DATASET_FLAGS,
+            "--method": (None, None, METHODS, False, "append"),
+            "--k-min": (1, "int", None, False, "store"),
+            "--k-max": (10, "int", None, False, "store"),
+            "--resolution": (3, "int", None, False, "store"),
+            **TRIAL_FLAGS, **OUT_FLAG,
+        }),
+        ("aggregate", {
+            "--results": (None, None, None, True, "append"),
+            "--external": (None, None, None, False, "store"),
+            "--k": (None, "int", None, False, "store"),
+            **OUT_FLAG,
+        }),
+        ("homophily", DATASET_FLAGS),
+    ],
+)
+def test_each_subcommand_takes_exactly_its_flags(subcommand, want):
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == ["synth", "filter", "classify", "sweep", "aggregate", "homophily"]
+    got = {}
+    for action in subparsers.choices[subcommand]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        (option,) = action.option_strings
+        assert action.dest == option[2:].replace("-", "_")
+        kind = {argparse._StoreAction: "store", argparse._AppendAction: "append"}[type(action)]
+        got[option] = (
+            action.default, getattr(action.type, "__name__", None),
+            action.choices and tuple(action.choices), action.required, kind,
+        )
+    assert got == want
 
 
 @pytest.mark.parametrize(

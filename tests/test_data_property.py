@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from asgc import DatasetError, data  # noqa: E402
@@ -76,6 +76,17 @@ def test_any_feature_file_gives_the_loops_array_or_error(tmp_path, text):
     path = tmp_path / "x.features"
     path.write_bytes(text.encode())
     assert outcome(path) == loop_outcome(path)
+
+
+@SETTINGS
+@given(st.text(alphabet="a1 \t\r\n\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029", max_size=60))
+@example("x" * 8191 + "\r\nb\r\n")  # a CRLF across the 8 KB and 64 KB read buffers' edges
+@example("x" * 65535 + "\r\nb\r")
+def test_read_lines_streams_the_lines_of_splitlines(tmp_path, text):
+    path = tmp_path / "x.txt"
+    path.write_text(text, newline="")
+    want = [(i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    assert list(data._read_lines(path)) == want
 
 
 @pytest.mark.parametrize(

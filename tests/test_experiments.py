@@ -363,6 +363,8 @@ def test_k_sweep_rejects_empty_inputs():
         k_sweep(ds, ["raw", "raw"], k_values=[1])
     with pytest.raises(ValueError):
         k_sweep(ds, ["bogus"], k_values=[1])
+    with pytest.raises(ValueError, match="unknown method 'mystery'; expected one of"):
+        k_sweep(ds, ["mystery"], k_values=[1])
 
 
 def tr(dataset, method, acc, k=6, seed=0):

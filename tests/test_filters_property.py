@@ -1,6 +1,8 @@
 """Property tests: the chunked adaptive filter equals its one-column-at-a-time
 loop, sparse inputs filter to the bits of their dense form, and permuting or
-repeating feature columns permutes or repeats both filters' outputs."""
+repeating feature columns permutes or repeats both filters' outputs. Three
+metamorphic properties on the nodes: disjoint components, appended isolated
+nodes and node relabeling."""
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from asgc import asgc_filter, sgc_filter  # noqa: E402
+from asgc import Graph, LabeledDataset, asgc_filter, homophily, sgc_filter  # noqa: E402
 from conftest import random_graph  # noqa: E402
 from test_filters import assert_asgc_equals_per_column_loop  # noqa: E402
 
@@ -96,3 +98,70 @@ def test_column_maps_commute_with_both_filters_bit_for_bit(problem, k_hops):
         assert np.array_equal(got.filtered, want.filtered[:, cols])
         assert np.array_equal(got.coefficients, want.coefficients[cols])
         assert np.array_equal(got.residual_norms, want.residual_norms[cols])
+
+
+def edge_pairs(g):
+    """One (i, j) row per undirected edge of ``g``, i < j."""
+    return np.column_stack(sp.triu(g.adjacency).nonzero())
+
+
+def assert_close_to_largest(got, want, rtol):
+    """Every entry of ``got`` within ``rtol`` times the largest magnitude in ``want``."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= rtol * np.abs(want).max(initial=0.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(filter_problems(), st.integers(2, 30), st.integers(0, 2**32 - 1), st.integers(1, 10))
+def test_sgc_on_a_disjoint_union_is_each_components_output_bit_for_bit(problem, n2, seed, k_hops):
+    # asgc has no such property: one coefficient vector per feature serves both components
+    g1, x1 = problem
+    rng = np.random.default_rng(seed)
+    g2 = random_graph(n2, 0.2, rng, ensure_min_degree=False)
+    x2 = rng.standard_normal((n2, x1.shape[1]))
+    union = Graph.from_edges(g1.n + n2, np.vstack([edge_pairs(g1), edge_pairs(g2) + g1.n]))
+    got = sgc_filter(union, np.vstack([x1, x2]), k_hops)
+    assert np.array_equal(got[: g1.n], sgc_filter(g1, x1, k_hops))
+    assert np.array_equal(got[g1.n :], sgc_filter(g2, x2, k_hops))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(filter_problems(), st.integers(1, 5), st.integers(1, 10))
+def test_appended_isolated_nodes_change_no_asgc_fit(problem, extra, k_hops):
+    # their basis rows are zero, and so are their features here, so each
+    # least-squares problem only gains zero rows
+    g, x = problem
+    want = asgc_filter(g, x, k_hops)
+    padded = Graph.from_edges(g.n + extra, edge_pairs(g))
+    got = asgc_filter(padded, np.vstack([x, np.zeros((extra, x.shape[1]))]), k_hops)
+    assert np.array_equal(got.filtered[g.n :], np.zeros((extra, x.shape[1])))
+    assert_close_to_largest(got.filtered[: g.n], want.filtered, 1e-12)
+    assert_close_to_largest(got.coefficients, want.coefficients, 1e-12)
+    # an exact fit's residual is rounding noise, so it is bounded on its target's scale
+    target_scale = np.linalg.norm(x, axis=0).max()
+    assert np.abs(got.residual_norms - want.residual_norms).max() <= 1e-12 * target_scale
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(filter_problems(), st.integers(0, 2**32 - 1), st.integers(1, 5))
+def test_relabeling_nodes_permutes_both_filters_and_keeps_homophily(problem, seed, k_hops):
+    # the summation order in each hop changes with the labels, so outputs agree
+    # to a tolerance; homophily counts integers per node and must be exact
+    g, x = problem
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(g.n)  # node i of the relabeled graph is node perm[i]
+    new_id = np.argsort(perm)
+    relabeled = Graph.from_edges(g.n, new_id[edge_pairs(g)])
+    assert_close_to_largest(
+        sgc_filter(relabeled, x[perm], k_hops), sgc_filter(g, x, k_hops)[perm], 1e-13
+    )
+    want = asgc_filter(g, x, k_hops)
+    got = asgc_filter(relabeled, x[perm], k_hops)
+    assert_close_to_largest(got.filtered, want.filtered[perm], 1e-10)
+    assert_close_to_largest(got.coefficients, want.coefficients, 1e-10)
+    assert_close_to_largest(got.residual_norms, want.residual_norms, 1e-10)
+    if g.adjacency.nnz:
+        labels = rng.integers(0, 3, g.n)
+        before = LabeledDataset("g", g, x, labels)
+        after = LabeledDataset("g", relabeled, x[perm], labels[perm])
+        assert homophily(after) == homophily(before)
