@@ -11,7 +11,7 @@ means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -37,8 +37,14 @@ class SbmConfig:
     log_ratio: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        self.edge_probabilities()  # a config no trial can draw is never built
+
     def edge_probabilities(self) -> tuple[float, float]:
-        ratio = float(np.exp(self.log_ratio))
+        with np.errstate(over="ignore"):
+            ratio = float(np.exp(self.log_ratio))
+        if not np.isfinite(ratio):
+            raise ValueError(f"exp(log_ratio) is not finite: log_ratio={self.log_ratio:g}")
         q = self.expected_degree / (self.n_per_block * (1.0 + ratio))
         p = q * ratio
         if not (0.0 < p <= 1.0 and 0.0 < q <= 1.0):
@@ -144,28 +150,20 @@ def run_sweep(
         raise ValueError("log_ratio grid must be nonempty")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    for rho in log_ratios:  # a grid point no trial can draw fails before any work
-        SbmConfig(n_per_block=n_per_block, log_ratio=float(rho)).edge_probabilities()
+    grid = [SbmConfig(n_per_block=n_per_block, log_ratio=float(rho)) for rho in log_ratios]
     if k_hops < 1:
         raise ValueError("k_hops must be >= 1")
-
-    def one(item):
-        gi, ti = item
-        cfg = SbmConfig(
-            n_per_block=n_per_block,
-            log_ratio=float(log_ratios[gi]),
-            seed=spawn_seed(seed, gi, ti),
-        )
-        return denoise_trial(cfg, k_hops)
-
-    items = [(gi, ti) for gi in range(len(log_ratios)) for ti in range(trials)]
-    outcomes = parallel_map(one, items, jobs)
+    outcomes = parallel_map(
+        lambda item: denoise_trial(replace(grid[item[0]], seed=spawn_seed(seed, *item)), k_hops),
+        [(gi, ti) for gi in range(len(grid)) for ti in range(trials)],
+        jobs,
+    )
     reports = []
-    for gi, rho in enumerate(log_ratios):
+    for gi, cfg in enumerate(grid):
         block = outcomes[gi * trials:(gi + 1) * trials]
         rms_deviation, sign_error = {}, {}
         for m in METHODS:
             rms_deviation[m] = float(np.mean([o[m].rms_deviation for o in block]))
             sign_error[m] = float(np.mean([o[m].sign_error for o in block]))
-        reports.append(DenoiseReport(float(rho), rms_deviation, sign_error))
+        reports.append(DenoiseReport(cfg.log_ratio, rms_deviation, sign_error))
     return reports

@@ -1,5 +1,6 @@
 """Property tests: the in-place row reorder behind split-ordered fits equals a
-row gather, and reordering back restores the bytes."""
+row gather, and reordering back restores the bytes. One metamorphic property
+of the protocol: relabeling the nodes leaves every method's test accuracy."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from asgc.experiments import _reorder_rows, _rows_in_order  # noqa: E402
+from asgc import METHODS, Graph, LabeledDataset, make_splits  # noqa: E402
+from asgc.data import SplitSpec  # noqa: E402
+from asgc.experiments import _reorder_rows, _rows_in_order, method_features, run_method  # noqa: E402
+from conftest import toy_dataset  # noqa: E402
 
 
 @st.composite
@@ -49,3 +53,30 @@ def test_rows_in_order_restores_the_array_it_reordered(case):
     assert y.tobytes() == x.tobytes()
     with _rows_in_order(sp.csr_matrix(x), order) as inside:
         assert np.array_equal(inside.toarray(), x[order])
+
+
+def test_relabeling_nodes_and_splits_keeps_each_methods_test_accuracy():
+    # Fixed before the first run: seeds 0-29, 80 nodes, 6 features, K=2,
+    # resolution 2, and at most one test node's worth of accuracy per method.
+    # The relabeled run sums in other orders, so filters and fits agree only to
+    # rounding and a prediction may flip at a near tie.
+    k_hops, resolution = 2, 2
+    for seed in range(30):
+        log_ratio = 2.0 if seed % 2 else -2.0
+        ds = toy_dataset(n_per_block=40, n_features=6, log_ratio=log_ratio, seed=seed)
+        perm = np.random.default_rng(seed + 2000).permutation(ds.n)  # new node i is old node perm[i]
+        new_id = np.argsort(perm)
+        edges = np.column_stack(sp.triu(ds.graph.adjacency).nonzero())
+        relabeled = LabeledDataset(
+            ds.name, Graph.from_edges(ds.n, new_id[edges]), ds.features[perm], ds.labels[perm]
+        )
+        split = make_splits(ds.n, seed)
+        moved = SplitSpec(
+            *(np.sort(new_id[part]) for part in (split.train, split.validation, split.test)), seed=seed
+        )
+        before = method_features(ds, METHODS, k_hops)
+        after = method_features(relabeled, METHODS, k_hops)
+        for method in METHODS:
+            want = run_method(ds, split, method, k_hops, resolution, before).test_accuracy
+            got = run_method(relabeled, moved, method, k_hops, resolution, after).test_accuracy
+            assert abs(got - want) * len(split.test) <= 1 + 1e-9, (seed, method, got, want)

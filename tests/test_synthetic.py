@@ -32,6 +32,12 @@ def test_edge_probabilities_vanishing_q_in_homophilous_limit():
 def test_edge_probabilities_out_of_range_rejected():
     with pytest.raises(ValueError):
         SbmConfig(n_per_block=100, expected_degree=300.0).edge_probabilities()
+    # a config no trial can draw cannot be built at all
+    with pytest.raises(ValueError, match="^derived edge probabilities out of range: p=1.5, q=1.5$"):
+        SbmConfig(n_per_block=100, expected_degree=300.0)
+    for log_ratio, shown in ((710.0, "710"), (math.inf, "inf"), (math.nan, "nan")):
+        with pytest.raises(ValueError, match=f"^exp\\(log_ratio\\) is not finite: log_ratio={shown}$"):
+            SbmConfig(log_ratio=log_ratio)
 
 
 def test_generation_reproducible_from_seed():
@@ -220,8 +226,16 @@ def test_run_sweep_parallel_matches_sequential():
     assert seq == par
 
 
-def test_run_sweep_validates_arguments():
+def test_run_sweep_validates_arguments(monkeypatch):
     with pytest.raises(ValueError):
         run_sweep([], trials=2)
     with pytest.raises(ValueError):
         run_sweep([0.0], trials=0)
+
+    def no_trial(*args, **kwargs):
+        pytest.fail("a trial ran before the grid was checked")
+
+    # the bad grid point fails before the k_hops check and before any trial
+    monkeypatch.setattr(synthetic, "denoise_trial", no_trial)
+    with pytest.raises(ValueError, match="^derived edge probabilities out of range: p=0, q=0.02$"):
+        run_sweep([0.0, -800.0], trials=2, k_hops=0)
