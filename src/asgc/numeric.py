@@ -34,6 +34,10 @@ import scipy.sparse
 
 # singular values below RANK_TOL times the largest count as zero in least_squares
 RANK_TOL = 1e-10
+# fit_logistic's iteration limit, gradient max-norm bound and ridge on the weights
+MAX_ITER = 1000
+GRAD_TOL = 1e-5
+L2_STRENGTH = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,21 +153,16 @@ def softmax_objective(params, x, y_index, n_classes, l2_strength):
     return loss, np.concatenate([grad_w.ravel(), grad_b])
 
 
-def fit_logistic(
-    x, y, *, max_iter: int = 1000, tol: float = 1e-5, l2_strength: float = 1e-4
-) -> LogisticModel:
+def fit_logistic(x, y) -> LogisticModel:
     """Train a multinomial softmax classifier by full-batch L-BFGS.
 
     Args:
         x: n x f feature matrix (finite values), dense or scipy sparse; a
             sparse matrix is trained on in CSR form without densifying.
         y: length-n integer labels with at least two distinct values.
-        max_iter: optimizer iteration limit.
-        tol: bound on the max-norm of the objective gradient at the solution.
-        l2_strength: scale of a ridge penalty on the weights (never the bias).
 
     The optimizer starts from zero parameters, so results are deterministic.
-    If it stops without converging (for instance at ``max_iter``), a
+    If it stops without converging (for instance at :data:`MAX_ITER`), a
     ``RuntimeWarning`` carrying the optimizer's message is emitted and the
     last iterate is returned.
     """
@@ -186,10 +185,10 @@ def fit_logistic(
     result = scipy.optimize.minimize(
         softmax_objective,
         np.zeros(f * n_classes + n_classes),
-        args=(x, y_index, n_classes, l2_strength),
+        args=(x, y_index, n_classes, L2_STRENGTH),
         jac=True,
         method="L-BFGS-B",
-        options={"maxiter": max_iter, "gtol": tol, "ftol": 1e-15},
+        options={"maxiter": MAX_ITER, "gtol": GRAD_TOL, "ftol": 1e-15},
     )
     if not result.success:
         warnings.warn(

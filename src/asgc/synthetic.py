@@ -38,14 +38,22 @@ class SbmConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not (isinstance(self.n_per_block, (int, np.integer)) and self.n_per_block >= 1):
+            raise ValueError(f"n_per_block must be an integer >= 1: n_per_block={self.n_per_block}")
         self.edge_probabilities()  # a config no trial can draw is never built
 
     def edge_probabilities(self) -> tuple[float, float]:
         with np.errstate(over="ignore"):
             ratio = float(np.exp(self.log_ratio))
+            scale = self.n_per_block * (1.0 + ratio)
         if not np.isfinite(ratio):
             raise ValueError(f"exp(log_ratio) is not finite: log_ratio={self.log_ratio:g}")
-        q = self.expected_degree / (self.n_per_block * (1.0 + ratio))
+        if not np.isfinite(scale):
+            raise ValueError(
+                f"n_per_block * (1 + exp(log_ratio)) overflows: "
+                f"n_per_block={self.n_per_block}, log_ratio={self.log_ratio:g}"
+            )
+        q = self.expected_degree / scale
         p = q * ratio
         if not (0.0 < p <= 1.0 and 0.0 < q <= 1.0):
             raise ValueError(f"derived edge probabilities out of range: p={p:g}, q={q:g}")
@@ -136,7 +144,6 @@ def run_sweep(
     log_ratios: Sequence[float],
     trials: int = 10,
     k_hops: int = 2,
-    n_per_block: int = 500,
     seed: int = 0,
     jobs: int = 1,
 ) -> list[DenoiseReport]:
@@ -150,7 +157,7 @@ def run_sweep(
         raise ValueError("log_ratio grid must be nonempty")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    grid = [SbmConfig(n_per_block=n_per_block, log_ratio=float(rho)) for rho in log_ratios]
+    grid = [SbmConfig(log_ratio=float(rho)) for rho in log_ratios]
     if k_hops < 1:
         raise ValueError("k_hops must be >= 1")
     outcomes = parallel_map(

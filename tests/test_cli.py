@@ -228,6 +228,10 @@ def test_bad_protocol_arguments_fail_before_the_dataset_loads(
         (["--k", "0"], "k_hops must be >= 1"),
         (["--log-ratio-min", "-800"], "derived edge probabilities out of range: p=0, q=0.02"),
         (["--log-ratio-max", "1000"], "exp(log_ratio) is not finite: log_ratio=748.75"),
+        (
+            ["--log-ratio-max", "705"],
+            "n_per_block * (1 + exp(log_ratio)) overflows: n_per_block=500, log_ratio=705",
+        ),
     ],
 )
 def test_bad_synth_arguments_fail_before_the_worker_pool(

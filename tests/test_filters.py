@@ -177,7 +177,7 @@ def block_test_case():
     rng = np.random.default_rng(17)
     base = random_graph(40, 0.1, rng)
     rows = np.repeat(np.arange(40), np.diff(base.adjacency.indptr))
-    g = Graph.from_edges(41, np.column_stack([rows, base.indices]))  # node 40 is isolated
+    g = Graph.from_edges(41, np.column_stack([rows, base.adjacency.indices]))  # node 40 is isolated
     x = rng.standard_normal((41, 37))
     x[:, 5] = 0.0
     x[:, 20] = 0.0

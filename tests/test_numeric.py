@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 from asgc import (
     accuracy,
+    numeric,
     fit_logistic,
     least_squares,
     predict,
@@ -136,8 +137,10 @@ def test_all_zero_sparse_features_still_train():
     np.testing.assert_array_equal(predict(model, x), [1, 1, 1, 1])
 
 
-def test_fit_checks_finiteness_without_a_mask_of_the_features():
+def test_fit_checks_finiteness_without_a_mask_of_the_features(monkeypatch):
     import scipy.optimize  # noqa: F401  (the first fit imports it; not traced here)
+
+    monkeypatch.setattr(numeric, "MAX_ITER", 3)
 
     rng = np.random.default_rng(6)
     n, f = 2000, 1000
@@ -145,7 +148,7 @@ def test_fit_checks_finiteness_without_a_mask_of_the_features():
     tracemalloc.start()
     try:
         with pytest.warns(RuntimeWarning, match="did not converge"):
-            fit_logistic(x, (x[:, 0] > 0).astype(int), max_iter=3)
+            fit_logistic(x, (x[:, 0] > 0).astype(int))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -251,19 +254,22 @@ def test_accuracy_rejects_mismatched_lengths():
         accuracy([1, 2], [1, 2, 3])
 
 
-def test_config_knob_changes_regularization():
+def test_config_knob_changes_regularization(monkeypatch):
     rng = np.random.default_rng(9)
     x, y = two_blobs(rng, n_per=20)
-    strong = fit_logistic(x, y, l2_strength=10.0)
-    weak = fit_logistic(x, y, l2_strength=1e-6)
+    monkeypatch.setattr(numeric, "L2_STRENGTH", 10.0)
+    strong = fit_logistic(x, y)
+    monkeypatch.setattr(numeric, "L2_STRENGTH", 1e-6)
+    weak = fit_logistic(x, y)
     assert np.linalg.norm(strong.weights) < np.linalg.norm(weak.weights)
 
 
-def test_unconverged_fit_warns_with_optimizer_message():
+def test_unconverged_fit_warns_with_optimizer_message(monkeypatch):
     rng = np.random.default_rng(10)
     x, y = two_blobs(rng, n_per=20, spread=2.0)
+    monkeypatch.setattr(numeric, "MAX_ITER", 1)
     with pytest.warns(RuntimeWarning, match="(?i)did not converge.*iterations reached limit"):
-        fit_logistic(x, y, max_iter=1)
+        fit_logistic(x, y)
 
 
 def test_converged_fits_do_not_warn():
@@ -288,13 +294,15 @@ def test_scores_accept_sparse_features():
         predict(model, sp.csr_matrix(np.ones((2, 5))))
 
 
-def test_dense_and_csr_fits_break_an_exact_tie_alike():
+def test_dense_and_csr_fits_break_an_exact_tie_alike(monkeypatch):
     # all-zero features leave only the bias, which ties classes 1 and 3 (three
     # labels each); the dense scores must reduce in the CSR path's order, or
     # the last bit of the bias decides the tie the other way
     x = np.zeros((10, 4))
     y = np.array([0, 1, 1, 2, 0, 3, 1, 2, 3, 3])
-    dense = fit_logistic(x, y, tol=1e-9, l2_strength=0.1)
-    sparse = fit_logistic(sp.csr_matrix(x), y, tol=1e-9, l2_strength=0.1)
+    monkeypatch.setattr(numeric, "GRAD_TOL", 1e-9)
+    monkeypatch.setattr(numeric, "L2_STRENGTH", 0.1)
+    dense = fit_logistic(x, y)
+    sparse = fit_logistic(sp.csr_matrix(x), y)
     assert predict(dense, x).tolist() == [1] * 10
     np.testing.assert_array_equal(predict(sparse, sp.csr_matrix(x)), predict(dense, x))

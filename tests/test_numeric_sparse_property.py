@@ -1,5 +1,7 @@
 """Property test: dense and CSR features train the same classifier."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,7 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from asgc import fit_logistic, predict  # noqa: E402
+from asgc import fit_logistic, numeric, predict  # noqa: E402
 
 
 @st.composite
@@ -29,15 +31,16 @@ def sparse_problems(draw):
 
 
 # strongly convex and tightly solved, so both input forms reach one optimum
-TIGHT_FIT = {"tol": 1e-9, "l2_strength": 0.1}
+TIGHT_FIT = {"GRAD_TOL": 1e-9, "L2_STRENGTH": 0.1}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(sparse_problems(), st.sampled_from([np.nan, np.inf, -np.inf]))
 def test_sparse_and_dense_features_fit_the_same_model(problem, bad):
     x, y = problem
-    dense = fit_logistic(x, y, **TIGHT_FIT)
-    sparse = fit_logistic(sp.csr_matrix(x), y, **TIGHT_FIT)
+    with mock.patch.multiple(numeric, **TIGHT_FIT):
+        dense = fit_logistic(x, y)
+        sparse = fit_logistic(sp.csr_matrix(x), y)
     np.testing.assert_allclose(sparse.weights, dense.weights, rtol=0, atol=1e-6)
     np.testing.assert_allclose(sparse.bias, dense.bias, rtol=0, atol=1e-6)
     np.testing.assert_array_equal(predict(sparse, sp.csr_matrix(x)), predict(dense, x))

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -38,6 +39,15 @@ def test_edge_probabilities_out_of_range_rejected():
     for log_ratio, shown in ((710.0, "710"), (math.inf, "inf"), (math.nan, "nan")):
         with pytest.raises(ValueError, match=f"^exp\\(log_ratio\\) is not finite: log_ratio={shown}$"):
             SbmConfig(log_ratio=log_ratio)
+    # exp(705) is finite, but 500 times it is not
+    with pytest.raises(
+        ValueError,
+        match=r"^n_per_block \* \(1 \+ exp\(log_ratio\)\) overflows: n_per_block=500, log_ratio=705$",
+    ):
+        SbmConfig(log_ratio=705.0)
+    for n_per_block in (0, 50.5):
+        with pytest.raises(ValueError, match=f"^n_per_block must be an integer >= 1: n_per_block={n_per_block}$"):
+            SbmConfig(n_per_block=n_per_block)
 
 
 def test_generation_reproducible_from_seed():
@@ -210,19 +220,21 @@ def test_adaptive_filter_preserves_community_means_when_heterophilous():
     assert abs(out["asgc"].plus_mean - 1.0) <= 0.2
 
 
-def test_run_sweep_shapes_and_determinism():
+def test_run_sweep_shapes_and_determinism(monkeypatch):
+    monkeypatch.setattr(synthetic, "SbmConfig", functools.partial(SbmConfig, n_per_block=50))
     grid = [-1.0, 0.0, 1.0]
-    a = run_sweep(grid, trials=2, k_hops=2, n_per_block=50, seed=5)
-    b = run_sweep(grid, trials=2, k_hops=2, n_per_block=50, seed=5)
+    a = run_sweep(grid, trials=2, k_hops=2, seed=5)
+    b = run_sweep(grid, trials=2, k_hops=2, seed=5)
     assert [r.log_ratio for r in a] == grid
     for ra, rb in zip(a, b):
         assert ra == rb
 
 
-def test_run_sweep_parallel_matches_sequential():
+def test_run_sweep_parallel_matches_sequential(monkeypatch):
+    monkeypatch.setattr(synthetic, "SbmConfig", functools.partial(SbmConfig, n_per_block=50))
     grid = [-2.0, 2.0]
-    seq = run_sweep(grid, trials=3, k_hops=2, n_per_block=50, seed=9, jobs=1)
-    par = run_sweep(grid, trials=3, k_hops=2, n_per_block=50, seed=9, jobs=4)
+    seq = run_sweep(grid, trials=3, k_hops=2, seed=9, jobs=1)
+    par = run_sweep(grid, trials=3, k_hops=2, seed=9, jobs=4)
     assert seq == par
 
 
