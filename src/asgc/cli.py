@@ -462,6 +462,3 @@ def main(argv=None) -> int:
         print(f"wrote {written}")
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

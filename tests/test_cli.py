@@ -598,16 +598,45 @@ def test_help_available_for_every_subcommand(capsys):
         assert capsys.readouterr().out.startswith(f"usage: asgc {sub}")
 
 
-def _fresh_python(args, **env):
+def _fresh_python(args, unset=(), **env):
     """Run ``python args`` in a new interpreter that imports asgc from this checkout.
 
-    ``env`` adds or overrides environment variables of that interpreter.
+    The interpreter's environment lacks the variables named in ``unset``;
+    ``env`` adds or overrides variables.
     """
     src = str(Path(__file__).resolve().parents[1] / "src")
+    inherited = {name: value for name, value in os.environ.items() if name not in unset}
     return subprocess.run(
-        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=src, **env),
+        [sys.executable, *args], env=dict(inherited, PYTHONPATH=src, **env),
         capture_output=True, text=True, timeout=120,
     )
+
+
+# every variable that sets a BLAS thread count, as the `asgc` entry knows them
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "GOTO_NUM_THREADS")
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+    reason="counts /proc/self/task, where BLAS starts threads only with 2+ usable CPUs",
+)
+def test_the_entry_starts_no_blas_thread():
+    script = "import os, asgc.__main__; print(len(os.listdir('/proc/self/task')))"
+    run = _fresh_python(["-c", script], unset=BLAS_THREAD_VARS)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "1"
+
+
+@pytest.mark.parametrize(
+    "preset, expected",
+    [({}, ["1"] * 6), ({"OMP_NUM_THREADS": "2"}, [None, "2", None, None, None, None])],
+)
+def test_the_entry_sets_thread_counts_only_where_none_is_set(preset, expected):
+    script = f"import os, asgc.__main__; print([os.environ.get(v) for v in {BLAS_THREAD_VARS!r}])"
+    run = _fresh_python(["-c", script], unset=BLAS_THREAD_VARS, **preset)
+    assert run.returncode == 0, run.stderr
+    assert ast.literal_eval(run.stdout) == expected
 
 
 def test_only_a_fit_imports_the_optimizer(tmp_path):
