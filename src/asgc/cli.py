@@ -377,15 +377,20 @@ def cmd_homophily(args) -> None:
     print(f"{ds.name}\t{homophily(ds):.6f}")
 
 
-def _jobs(text: str) -> int:
-    """``--jobs``: a worker-process count of at least 1, else a usage error."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
-    return jobs
+def _at_least(minimum: int):
+    """An argparse type: an int of at least ``minimum``, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = f"at_least_{minimum}"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     dataset.add_argument("--dataset", required=True, help="dataset name from the manifest")
     trials = argparse.ArgumentParser(add_help=False)
     trials.add_argument("--trials", type=int, default=10)
-    trials.add_argument("--seed", type=int, default=0)
-    trials.add_argument("--jobs", type=_jobs, default=1, help="worker processes")
+    trials.add_argument("--seed", type=_at_least(0), default=0)
+    trials.add_argument("--jobs", type=_at_least(1), default=1, help="worker processes")
     protocol = argparse.ArgumentParser(add_help=False, parents=[dataset, trials, out])
     protocol.add_argument("--resolution", type=int, default=3)
 

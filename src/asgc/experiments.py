@@ -252,8 +252,10 @@ def check_sweep(
 
     Method names are checked where they are looked up, by :func:`method_features`.
     """
-    if not methods or not k_values:
-        raise ValueError("methods and k_values must be nonempty")
+    if not methods:
+        raise ValueError("methods must be nonempty")
+    if not k_values:
+        raise ValueError(f"k_values must be nonempty, got {k_values!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if min(k_values) < 1:

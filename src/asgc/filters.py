@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import Graph, GraphError, normalized_adjacency, propagate
-from .numeric import least_squares
+from .numeric import least_squares, require_finite
 
 # feature columns propagated together by asgc_filter. Each call allocates one
 # ASGC_CHUNK x K x n hop block (3.5 MB at K=10 on 2,708 nodes) and reuses it for
@@ -29,12 +29,14 @@ def sgc_filter(g: Graph, x, k_hops: int = 6) -> np.ndarray:
 
     The K-th operator power is never materialized; the features are propagated
     repeatedly. Accepts a vector (n,) or matrix (n, f), dense or scipy sparse,
-    and returns a dense array of the same shape.
+    and returns a dense array of the same shape. A NaN or infinite feature
+    raises ``ValueError``.
     """
     if k_hops < 1:
         raise ValueError("k_hops must be >= 1")
-    op = normalized_adjacency(g, add_self_loops=True)
     out = np.asarray(x.toarray() if sp.issparse(x) else x, dtype=np.float64)
+    require_finite(out, "features must be finite")
+    op = normalized_adjacency(g, add_self_loops=True)
     for _ in range(k_hops):
         out = propagate(op, out)
     return out
@@ -68,7 +70,8 @@ def asgc_filter(g: Graph, x, k_hops: int = 6) -> AsgcResult:
     :func:`propagate` call per hop; each column of that product equals its
     own sparse-vector product bit for bit, so the chunk size never changes
     the output. A scipy sparse ``x`` is read in CSC form, one dense
-    n x chunk slice at a time, and gives the bits of its dense form.
+    n x chunk slice at a time, and gives the bits of its dense form. A NaN
+    or infinite feature raises ``ValueError`` before the first hop.
     """
     if k_hops < 1:
         raise ValueError("k_hops must be >= 1")
@@ -77,6 +80,7 @@ def asgc_filter(g: Graph, x, k_hops: int = 6) -> AsgcResult:
     cols = x[:, None] if single else x
     if cols.ndim != 2 or cols.shape[0] != g.n:
         raise GraphError(f"features must have shape (n,) or (n, f) with n = {g.n}, got {x.shape}")
+    require_finite(x, "features must be finite")
     op = normalized_adjacency(g, add_self_loops=False)
     n, f = cols.shape
     filtered = np.zeros((n, f))

@@ -100,6 +100,15 @@ def _as_features(x):
     return np.asarray(x, dtype=np.float64)
 
 
+def require_finite(x, message: str) -> None:
+    """Raise ``ValueError(message)`` unless every value of ``x``, dense or CSR/CSC, is finite."""
+    # a NaN spreads to both extremes and an inf is one of them, so two
+    # reductions check every value without an n x f mask
+    values = x.data if scipy.sparse.issparse(x) else x
+    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        raise ValueError(message)
+
+
 def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
     """``scipy.special.logsumexp(z, axis=1, keepdims=True)`` for a 2-D float64 ``z``.
 
@@ -172,11 +181,7 @@ def fit_logistic(x, y) -> LogisticModel:
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError("x must be n x f with one label per row")
-    # a NaN spreads to both extremes and an inf is one of them, so two
-    # reductions check every value without an n x f mask
-    values = x.data if scipy.sparse.issparse(x) else x
-    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
-        raise ValueError("fit_logistic requires finite features")
+    require_finite(x, "fit_logistic requires finite features")
     classes, y_index = np.unique(y, return_inverse=True)
     if len(classes) < 2:
         raise ValueError("single-class training set: need at least two distinct labels")

@@ -1,4 +1,10 @@
-"""Shared graph builders and independent dense-math oracles.
+"""Shared test scaffolds, graph builders and independent dense-math oracles.
+
+New tests use the scaffolds here instead of writing their own:
+:func:`write_dataset` writes a loadable dataset, :func:`traced_peak` bounds
+a memory peak, :func:`fresh_python` runs a new interpreter, and the ``asgc``
+Hypothesis profile, loaded below, holds the settings every property test
+shares, so a ``@settings`` there states only its example count.
 
 The oracle helpers here deliberately avoid the package's sparse code paths:
 they build dense matrices straight from edge lists so tests compare two
@@ -7,10 +13,67 @@ independent routes to the same quantity.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import scipy.sparse as sp
 
 from asgc import Graph, LabeledDataset, SbmConfig, generate_sbm
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property modules skip themselves without hypothesis
+    pass
+else:
+    # derandomized: each property test draws the same examples on every run
+    settings.register_profile("asgc", deadline=None, derandomize=True)
+    settings.load_profile("asgc")
+
+
+def write_dataset(root: Path, edges, features, labels, name: str = "toy"):
+    """Write ``<name>.edges``, ``.features`` and ``.labels`` and a ``data.manifest`` under ``root``.
+
+    Edges are tab-separated pairs, features comma-separated rows (each value
+    as ``str`` of its Python number, so a float keeps every bit) and labels
+    one per line. The manifest binds ``name`` to the three files. Returns
+    their three paths.
+    """
+    fields = ("edges", "features", "labels")
+    edges, features, labels = (np.asarray(a).tolist() for a in (edges, features, labels))
+    paths = tuple(root / f"{name}.{field}" for field in fields)
+    paths[0].write_text("".join(f"{i}\t{j}\n" for i, j in edges))
+    paths[1].write_text("".join(",".join(map(str, row)) + "\n" for row in features))
+    paths[2].write_text("".join(f"{v}\n" for v in labels))
+    (root / "data.manifest").write_text("".join(f"{name}.{f} = {name}.{f}\n" for f in fields))
+    return paths
+
+
+def traced_peak(fn):
+    """Return ``fn()`` and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def fresh_python(args, unset=(), cwd=None, timeout=120, **env) -> subprocess.CompletedProcess:
+    """Run ``python args`` in a new interpreter that imports asgc from this checkout.
+
+    The interpreter's environment lacks the variables named in ``unset``;
+    ``env`` adds or overrides variables. Output is captured as text.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    inherited = {name: value for name, value in os.environ.items() if name not in unset}
+    return subprocess.run(
+        [sys.executable, *args], env=dict(inherited, PYTHONPATH=src, **env),
+        cwd=cwd, capture_output=True, text=True, timeout=timeout,
+    )
 
 
 def single_edge_graph() -> Graph:

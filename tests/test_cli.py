@@ -2,17 +2,15 @@ import argparse
 import ast
 import multiprocessing
 import os
-import subprocess
 import sys
-import tracemalloc
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from asgc.cli import build_parser, main, svg_line_chart
 from asgc.experiments import METHODS
+from conftest import fresh_python, traced_peak, write_dataset
 
 
 @pytest.fixture
@@ -23,16 +21,8 @@ def toy_manifest(tmp_path):
     edges = np.column_stack(np.nonzero(upper))
     labels = (np.arange(n) >= n // 2).astype(int)
     features = np.eye(2)[labels] * 2 + rng.standard_normal((n, 2))
-    (tmp_path / "toy.edges").write_text("".join(f"{i}\t{j}\n" for i, j in edges))
-    (tmp_path / "toy.features").write_text(
-        "".join(",".join(repr(float(v)) for v in row) + "\n" for row in features)
-    )
-    (tmp_path / "toy.labels").write_text("".join(f"{v}\n" for v in labels))
-    manifest = tmp_path / "data.manifest"
-    manifest.write_text(
-        "toy.edges = toy.edges\ntoy.features = toy.features\ntoy.labels = toy.labels\n"
-    )
-    return manifest
+    write_dataset(tmp_path, edges, features, labels)
+    return tmp_path / "data.manifest"
 
 
 def test_synth_writes_expected_grid(tmp_path):
@@ -87,6 +77,23 @@ def test_jobs_below_one_is_a_usage_error(toy_manifest, tmp_path, capsys, subcomm
     assert exc.value.code == 2
     want = "invalid int value: 'abc'" if jobs == "abc" else f"must be >= 1, got {jobs}"
     assert f"argument --jobs: {want}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["synth", "classify", "sweep"])
+def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, subcommand):
+    def no_load(*args, **kwargs):
+        pytest.fail("the dataset was loaded before --seed was checked")
+
+    monkeypatch.setattr("asgc.cli.load_from_manifest", no_load)
+    out = tmp_path / "out"
+    args = [subcommand, "--seed", "-1", "--out", str(out)]
+    if subcommand != "synth":
+        args += ["--manifest", str(tmp_path / "data.manifest"), "--dataset", "toy", "--method", "raw"]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -206,6 +213,7 @@ def test_combo_resolution_below_one_fails_before_filtering(
         (["sweep", "--k-min", "0"], "k_hops must be >= 1"),
         (["classify", "--method", "combo", "--resolution", "0"], "resolution must be >= 1"),
         (["filter", "--method", "sgc", "--k", "0"], "k_hops must be >= 1"),
+        (["sweep", "--k-min", "3", "--k-max", "2"], "k_values must be nonempty, got range(3, 3)"),
     ],
 )
 def test_bad_protocol_arguments_fail_before_the_dataset_loads(
@@ -278,19 +286,12 @@ def test_filter_writes_rows_without_holding_them_all_as_python_floats(tmp_path):
     rng = np.random.default_rng(0)
     n, f = 2000, 200
     edges = rng.integers(0, n, size=(4 * n, 2))
-    (tmp_path / "g.edges").write_text("".join(f"{i}\t{j}\n" for i, j in edges if i != j))
     rows = (rng.random((n, f)) < 0.5).astype(int)
-    (tmp_path / "g.features").write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
-    (tmp_path / "g.labels").write_text("".join(f"{v}\n" for v in rng.integers(0, 3, n)))
-    manifest = tmp_path / "g.manifest"
-    manifest.write_text("g.edges = g.edges\ng.features = g.features\ng.labels = g.labels\n")
+    write_dataset(tmp_path, edges[edges[:, 0] != edges[:, 1]], rows, rng.integers(0, 3, n), name="g")
+    manifest = tmp_path / "data.manifest"
     argv = ["filter", "--manifest", str(manifest), "--dataset", "g", "--method", "sgc", "--k", "2"]
-    tracemalloc.start()
-    try:
-        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: main(argv + ["--out", str(tmp_path / "out")]))
+    assert code == 0
     # the filtered matrix is 3.2 MB; as n tuples of Python floats the rows took
     # another ~13 MB, for a 19.2 MB peak against 9.7 MB when written row by row
     assert peak < 14e6
@@ -469,8 +470,8 @@ DATASET_FLAGS = {
     "--manifest": (None, None, None, True, "store"), "--dataset": (None, None, None, True, "store"),
 }
 TRIAL_FLAGS = {
-    "--trials": (10, "int", None, False, "store"), "--seed": (0, "int", None, False, "store"),
-    "--jobs": (1, "_jobs", None, False, "store"),
+    "--trials": (10, "int", None, False, "store"), "--seed": (0, "at_least_0", None, False, "store"),
+    "--jobs": (1, "at_least_1", None, False, "store"),
 }
 OUT_FLAG = {"--out": (".", None, None, False, "store")}
 
@@ -598,20 +599,6 @@ def test_help_available_for_every_subcommand(capsys):
         assert capsys.readouterr().out.startswith(f"usage: asgc {sub}")
 
 
-def _fresh_python(args, unset=(), **env):
-    """Run ``python args`` in a new interpreter that imports asgc from this checkout.
-
-    The interpreter's environment lacks the variables named in ``unset``;
-    ``env`` adds or overrides variables.
-    """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    inherited = {name: value for name, value in os.environ.items() if name not in unset}
-    return subprocess.run(
-        [sys.executable, *args], env=dict(inherited, PYTHONPATH=src, **env),
-        capture_output=True, text=True, timeout=120,
-    )
-
-
 # every variable that sets a BLAS thread count, as the `asgc` entry knows them
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "GOTO_NUM_THREADS")
@@ -623,7 +610,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 )
 def test_the_entry_starts_no_blas_thread():
     script = "import os, asgc.__main__; print(len(os.listdir('/proc/self/task')))"
-    run = _fresh_python(["-c", script], unset=BLAS_THREAD_VARS)
+    run = fresh_python(["-c", script], unset=BLAS_THREAD_VARS)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "1"
 
@@ -634,7 +621,7 @@ def test_the_entry_starts_no_blas_thread():
 )
 def test_the_entry_sets_thread_counts_only_where_none_is_set(preset, expected):
     script = f"import os, asgc.__main__; print([os.environ.get(v) for v in {BLAS_THREAD_VARS!r}])"
-    run = _fresh_python(["-c", script], unset=BLAS_THREAD_VARS, **preset)
+    run = fresh_python(["-c", script], unset=BLAS_THREAD_VARS, **preset)
     assert run.returncode == 0, run.stderr
     assert ast.literal_eval(run.stdout) == expected
 
@@ -656,7 +643,7 @@ fit_logistic([[0.0], [1.0]], [0, 1])
 states.append(loaded())
 print(states)
 """
-    run = _fresh_python(["-c", script])
+    run = fresh_python(["-c", script])
     assert run.returncode == 0, run.stderr
     after_import, after_synth, after_fit = ast.literal_eval(run.stdout.splitlines()[-1])
     assert after_import == []
@@ -670,7 +657,7 @@ def test_concurrent_first_fits_in_a_fresh_process_match_one_job(toy_manifest, tm
         "--method", "combo", "--resolution", "1", "--trials", "2", "--seed", "5",
     ]
     for jobs in ("1", "2"):
-        run = _fresh_python(args + ["--jobs", jobs, "--out", str(tmp_path / jobs)])
+        run = fresh_python(args + ["--jobs", jobs, "--out", str(tmp_path / jobs)])
         assert run.returncode == 0, run.stderr
     assert (tmp_path / "1" / "classify_toy_combo.csv").read_bytes() == (
         tmp_path / "2" / "classify_toy_combo.csv"
@@ -684,7 +671,7 @@ def test_classify_bytes_do_not_depend_on_blas_threads(toy_manifest, tmp_path, me
         "--method", method, "--resolution", "1", "--trials", "2", "--seed", "5", "--jobs", "2",
     ]
     for threads in ("1", "2"):
-        run = _fresh_python(args + ["--out", str(tmp_path / threads)], OPENBLAS_NUM_THREADS=threads)
+        run = fresh_python(args + ["--out", str(tmp_path / threads)], OPENBLAS_NUM_THREADS=threads)
         assert run.returncode == 0, run.stderr
     name = f"classify_toy_{method}.csv"
     assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()

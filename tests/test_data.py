@@ -1,5 +1,4 @@
 import os
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,22 +16,13 @@ from asgc import (
     make_splits,
 )
 from asgc import data
+from conftest import traced_peak, write_dataset
 
 # (nodes, undirected edges, features, classes) for the reference benchmarks
 KNOWN_SHAPES = {
     "cora": (2702, 5278, 1433, 7),
     "chameleon": (2277, 31421, 2325, 5),
 }
-
-
-def write_dataset(tmp_path, edges, features, labels, prefix="toy"):
-    e = tmp_path / f"{prefix}.edges"
-    f = tmp_path / f"{prefix}.features"
-    l = tmp_path / f"{prefix}.labels"
-    e.write_text("".join(f"{i}\t{j}\n" for i, j in edges))
-    f.write_text("".join(",".join(str(v) for v in row) + "\n" for row in features))
-    l.write_text("".join(f"{v}\n" for v in labels))
-    return e, f, l
 
 
 def test_load_symmetrizes_and_dedupes(tmp_path):
@@ -98,12 +88,7 @@ def test_feature_parse_holds_no_copy_of_the_file_text(tmp_path):
     rows = np.random.default_rng(0).integers(0, 2, (2000, 500))
     path = tmp_path / "x.features"
     path.write_text("".join(",".join(map(str, row)) + "\n" for row in rows.tolist()))
-    tracemalloc.start()
-    try:
-        out = data._read_features(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(lambda: data._read_features(path))
     np.testing.assert_array_equal(out, rows)
     # the file's text and its list of lines would each add a quarter of the array
     assert peak < 1.3 * out.nbytes
@@ -113,12 +98,7 @@ def test_edge_parse_holds_no_copy_of_the_file_text(tmp_path):
     pairs = np.random.default_rng(0).integers(0, 169_343, (200_000, 2))
     path = tmp_path / "x.edges"
     path.write_text("".join(f"{u}\t{v}\n" for u, v in pairs.tolist()))
-    tracemalloc.start()
-    try:
-        out = data._read_table(path, "edge", int, width=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(lambda: data._read_table(path, "edge", int, width=2))
     np.testing.assert_array_equal(out, pairs)
     # a line loop holding the text, its lines and Python int pairs peaked near 12x the array
     assert peak < 1.3 * out.nbytes
@@ -129,12 +109,7 @@ def test_fallback_parse_holds_no_copy_of_the_file_text(tmp_path):
     path = tmp_path / "x.edges"
     path.write_text("".join(f"{u}\t{v}\n" for u, v in pairs.tolist()) + "\x0c\n")
     assert not data._loadtxt_agrees(path)  # so the line loop parses it
-    tracemalloc.start()
-    try:
-        out = data._read_table(path, "edge", int, width=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(lambda: data._read_table(path, "edge", int, width=2))
     np.testing.assert_array_equal(out, pairs)
     # the file's text and its list of lines, held next to the array, would peak near 5.4x it
     assert peak < 1.3 * out.nbytes

@@ -12,12 +12,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from asgc import DatasetError, data  # noqa: E402
 
-SETTINGS = settings(
-    max_examples=150,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+SETTINGS = settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 def outcome(path):

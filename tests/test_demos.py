@@ -1,11 +1,10 @@
 """Each demo script runs to completion from a checkout, with numeric warnings as errors."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import fresh_python
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -17,9 +16,5 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = fresh_python(["-W", "error::RuntimeWarning", str(demo)], cwd=tmp_path, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,5 @@
 import multiprocessing
 import os
-import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -26,7 +25,7 @@ from asgc import (
     run_method,
     spawn_seed,
 )
-from conftest import toy_dataset
+from conftest import toy_dataset, traced_peak
 
 
 def test_raw_method_equals_plain_logistic():
@@ -276,19 +275,10 @@ def dense_case(n=2000, f=300, seed=0):
     return LabeledDataset("dense", g, x, y), x
 
 
-def traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_run_method_fits_without_a_gathered_copy_of_the_features():
     ds, x = dense_case()
     split = make_splits(ds.n, seed=0)
-    peak = traced_peak(lambda: run_method(ds, split, "sgc", features={"sgc": x}))
+    _, peak = traced_peak(lambda: run_method(ds, split, "sgc", features={"sgc": x}))
     # a copy of the train + validation rows alone would be 0.8 of the matrix
     assert peak < x.nbytes / 2
 
@@ -297,7 +287,7 @@ def test_combo_search_holds_one_blend_and_no_gathered_copy():
     ds, x = dense_case()
     split = make_splits(ds.n, seed=0)
     x_sgc, x_asgc = x[::-1].copy(), -x
-    peak = traced_peak(lambda: combo_search(ds, split, x, x_sgc, x_asgc, resolution=1))
+    _, peak = traced_peak(lambda: combo_search(ds, split, x, x_sgc, x_asgc, resolution=1))
     assert peak < 1.5 * x.nbytes  # one blend, and less than one gathered copy besides
 
 
@@ -355,9 +345,9 @@ def test_read_only_fortran_ordered_features_fit_as_their_c_ordered_form():
 
 def test_k_sweep_rejects_empty_inputs():
     ds = toy_dataset(n_per_block=40)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^methods must be nonempty$"):
         k_sweep(ds, [], k_values=[1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^k_values must be nonempty, got \[\]$"):
         k_sweep(ds, ["raw"], k_values=[])
     with pytest.raises(ValueError):
         k_sweep(ds, ["raw", "raw"], k_values=[1])

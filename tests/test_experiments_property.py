@@ -31,7 +31,7 @@ def permuted_rows(draw):
     return rng.standard_normal((n, draw(st.integers(1, 5)))), order
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(permuted_rows())
 def test_reorder_equals_a_gather_and_reorders_back(case):
     x, order = case
@@ -42,7 +42,7 @@ def test_reorder_equals_a_gather_and_reorders_back(case):
     assert y.tobytes() == x.tobytes()
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=50)
 @given(permuted_rows())
 def test_rows_in_order_restores_the_array_it_reordered(case):
     x, order = case

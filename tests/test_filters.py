@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -16,7 +14,7 @@ from asgc import (
     sgc_filter,
     simplex_grid,
 )
-from conftest import dense_normalized_adjacency, random_graph, single_edge_graph
+from conftest import dense_normalized_adjacency, random_graph, single_edge_graph, traced_peak
 
 
 # --- fixed smoothing filter ----------------------------------------------------
@@ -245,12 +243,7 @@ def test_asgc_on_sparse_features_allocates_no_dense_copy_of_them():
     n, f = 2000, 1000
     g = Graph.from_edges(n, rng.integers(0, n, size=(4 * n, 2)))
     x = sp.random(n, f, density=0.01, format="csr", random_state=rng)
-    tracemalloc.start()
-    try:
-        result = asgc_filter(g, x, 2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    result, peak = traced_peak(lambda: asgc_filter(g, x, 2))
     dense_bytes = n * f * 8
     assert peak < result.filtered.nbytes + dense_bytes / 2
 
@@ -260,12 +253,7 @@ def test_asgc_reuses_one_chunk_workspace_per_call():
     n, f, k = 2000, 64, 10  # four full chunks
     g = Graph.from_edges(n, rng.integers(0, n, size=(4 * n, 2)))
     x = rng.standard_normal((n, f))
-    tracemalloc.start()
-    try:
-        result = asgc_filter(g, x, k)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    result, peak = traced_peak(lambda: asgc_filter(g, x, k))
     hop_block = asgc.filters.ASGC_CHUNK * k * n * 8
     # a new hop block per chunk keeps the last one alive too: 2.39 blocks here
     assert peak - result.filtered.nbytes < 2 * hop_block
@@ -275,8 +263,22 @@ def test_asgc_reuses_one_chunk_workspace_per_call():
 def test_asgc_rejects_a_nan_feature(form):
     g, x = block_test_case()
     x[3, 18] = np.nan  # in the second chunk
-    with pytest.raises(ValueError, match="^least_squares requires finite inputs$"):
+    with pytest.raises(ValueError, match="^features must be finite$"):
         asgc_filter(g, form(x), 10)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("form", [np.asarray, sp.csr_matrix])
+@pytest.mark.parametrize("filt", [sgc_filter, asgc_filter], ids=["sgc", "asgc"])
+def test_filters_reject_a_non_finite_feature_before_the_first_hop(monkeypatch, filt, form, value):
+    def no_hop(*args, **kwargs):
+        pytest.fail("a hop ran before the features were checked")
+
+    monkeypatch.setattr(asgc.filters, "propagate", no_hop)
+    g, x = block_test_case()
+    x[3, 18] = value
+    with pytest.raises(ValueError, match="^features must be finite$"):
+        filt(g, form(x), 10)
 
 
 def test_asgc_chunked_propagation_equals_loop_when_rank_deficient():

@@ -32,7 +32,7 @@ def filter_problems(draw):
     return g, x
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(filter_problems(), st.one_of(st.integers(1, 5), st.sampled_from([9, 10])))
 def test_asgc_equals_per_column_loop(problem, k_hops):
     g, x = problem
@@ -62,7 +62,7 @@ def sparse_filter_problems(draw):
     return g, x
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(sparse_filter_problems(), st.integers(1, 5))
 def test_sparse_and_dense_features_filter_to_the_same_bits(problem, k_hops):
     g, x = problem
@@ -86,7 +86,7 @@ def column_maps(draw):
     return g, x, np.asarray(cols, dtype=np.intp)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(column_maps(), st.integers(1, 10))
 def test_column_maps_commute_with_both_filters_bit_for_bit(problem, k_hops):
     g, x, cols = problem
@@ -111,7 +111,7 @@ def assert_close_to_largest(got, want, rtol):
     assert np.abs(got - want).max(initial=0.0) <= rtol * np.abs(want).max(initial=0.0)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(filter_problems(), st.integers(2, 30), st.integers(0, 2**32 - 1), st.integers(1, 10))
 def test_sgc_on_a_disjoint_union_is_each_components_output_bit_for_bit(problem, n2, seed, k_hops):
     # asgc has no such property: one coefficient vector per feature serves both components
@@ -125,7 +125,7 @@ def test_sgc_on_a_disjoint_union_is_each_components_output_bit_for_bit(problem, 
     assert np.array_equal(got[g1.n :], sgc_filter(g2, x2, k_hops))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(filter_problems(), st.integers(1, 5), st.integers(1, 10))
 def test_appended_isolated_nodes_change_no_asgc_fit(problem, extra, k_hops):
     # their basis rows are zero, and so are their features here, so each
@@ -142,7 +142,7 @@ def test_appended_isolated_nodes_change_no_asgc_fit(problem, extra, k_hops):
     assert np.abs(got.residual_norms - want.residual_norms).max() <= 1e-12 * target_scale
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(filter_problems(), st.integers(0, 2**32 - 1), st.integers(1, 5))
 def test_relabeling_nodes_permutes_both_filters_and_keeps_homophily(problem, seed, k_hops):
     # the summation order in each hop changes with the labels, so outputs agree

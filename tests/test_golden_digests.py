@@ -23,6 +23,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -36,8 +37,10 @@ from asgc import asgc_filter, fit_logistic, load_from_manifest, sgc_filter
 from asgc.cli import main
 from asgc.experiments import METHODS
 from asgc.numeric import softmax_objective
+import conftest
 
 TABLE = Path(__file__).with_name("golden_digests.json")
+WORKFLOW = Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml"
 REGENERATE = "PYTHONPATH=src python tests/test_golden_digests.py"
 
 
@@ -65,14 +68,8 @@ def write_dataset(root: Path) -> Path:
     centers = rng.standard_normal((3, f))
     mask = rng.random((n, f)) < 0.5
     features = np.where(mask, centers[labels] + 3.0 * rng.standard_normal((n, f)), 0.0)
-    (root / "toy.edges").write_text("".join(f"{i}\t{j}\n" for i, j in edges))
-    (root / "toy.features").write_text(
-        "".join(",".join(repr(float(v)) for v in row) + "\n" for row in features)
-    )
-    (root / "toy.labels").write_text("".join(f"{v}\n" for v in labels))
-    manifest = root / "data.manifest"
-    manifest.write_text("toy.edges = toy.edges\ntoy.features = toy.features\ntoy.labels = toy.labels\n")
-    return manifest
+    conftest.write_dataset(root, edges, features, labels)
+    return root / "data.manifest"
 
 
 AGGREGATE_RESULTS = """dataset,method,k_hops,trial,seed,test_accuracy
@@ -253,6 +250,13 @@ def test_homophily_matches_pinned_digest(table, manifest):
 
 def test_filter_and_objective_bits_match_pinned_digests(table, manifest):
     assert_pinned(case_api(manifest), table)
+
+
+def test_ci_installs_the_numpy_and_scipy_the_table_was_made_with(table):
+    """A CI pin bump without a regenerated table fails here, offline."""
+    (install,) = re.findall(r"pip install (.*==.*)", WORKFLOW.read_text())
+    pins = dict(re.findall(r"\b(numpy|scipy)==(\S+)", install))
+    assert pins == {name: table["versions"][name] for name in ("numpy", "scipy")}
 
 
 def regenerate() -> None:

@@ -30,7 +30,7 @@ def edge_lists(draw):
     return n, draw(st.permutations(pairs))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(edge_lists())
 def test_from_edges_builds_a_symmetric_canonical_loop_free_0_1_csr(case):
     n, edges = case
@@ -87,7 +87,7 @@ def assert_matches_reference(g, edges):
         )
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(edge_lists())
 def test_graph_constructors_give_the_bytes_of_scipy_construction(case):
     n, edges = case

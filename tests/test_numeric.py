@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +12,7 @@ from asgc import (
     predict,
 )
 from asgc.numeric import LogisticModel, softmax_objective
-from conftest import reference_softmax_objective, svd_least_squares
+from conftest import reference_softmax_objective, svd_least_squares, traced_peak
 
 
 # --- least squares -----------------------------------------------------------
@@ -145,13 +144,8 @@ def test_fit_checks_finiteness_without_a_mask_of_the_features(monkeypatch):
     rng = np.random.default_rng(6)
     n, f = 2000, 1000
     x = rng.standard_normal((n, f))
-    tracemalloc.start()
-    try:
-        with pytest.warns(RuntimeWarning, match="did not converge"):
-            fit_logistic(x, (x[:, 0] > 0).astype(int))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        _, peak = traced_peak(lambda: fit_logistic(x, (x[:, 0] > 0).astype(int)))
     # an n x f boolean mask alone is n * f bytes; the optimizer's state is ~0.4 of it
     assert peak < 0.6 * n * f
 

@@ -34,7 +34,7 @@ def sparse_problems(draw):
 TIGHT_FIT = {"GRAD_TOL": 1e-9, "L2_STRENGTH": 0.1}
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(sparse_problems(), st.sampled_from([np.nan, np.inf, -np.inf]))
 def test_sparse_and_dense_features_fit_the_same_model(problem, bad):
     x, y = problem

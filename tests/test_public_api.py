@@ -1,12 +1,9 @@
 import importlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import asgc
+from conftest import fresh_python
 
 
 def test_star_import_binds_every_exported_name():
@@ -18,11 +15,7 @@ def test_star_import_binds_every_exported_name():
 
 def test_importing_the_package_loads_no_numpy_or_scipy():
     script = "import asgc, sys; print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    run = subprocess.run(
-        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, timeout=60,
-    )
+    run = fresh_python(["-c", script], timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
 

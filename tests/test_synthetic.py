@@ -1,7 +1,6 @@
 import dataclasses
 import functools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from asgc import (
     generate_sbm,
     run_sweep,
 )
+from conftest import traced_peak
 
 
 def test_edge_probabilities_balanced_at_zero_log_ratio():
@@ -153,12 +153,7 @@ def test_generation_at_vanishing_q_and_unit_p():
 
 def test_hundred_thousand_node_sbm_is_sparse_in_time_and_memory():
     # A dense n x n draw would need n^2 = 1e10 cells; 256 MB is far below.
-    tracemalloc.start()
-    try:
-        g, x, _ = generate_sbm(SbmConfig(n_per_block=50_000, seed=0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (g, x, _), peak = traced_peak(lambda: generate_sbm(SbmConfig(n_per_block=50_000, seed=0)))
     assert g.n == x.shape[0] == 100_000
     assert abs(degrees(g).mean() - 10.0) <= 0.01 * 10.0
     assert peak < 256 * 2**20

@@ -10,10 +10,9 @@ lost.
 """
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
+
+from conftest import fresh_python
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -22,11 +21,8 @@ def test_traced_synth_pass_runs_every_tracer_hook(tmp_path):
     argv = ["synth", "--k", "2", "--trials", "2", "--log-ratio-steps", "3", "--jobs", "1",
             "--out", str(tmp_path / "out")]
     spec = {"src": str(ROOT / "src"), "argv": argv, "trace": True, "pass_id": 0, "load_bytes": 0}
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "worker.py"), json.dumps(spec)],
-        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, cwd=ROOT,
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = fresh_python([str(ROOT / "perfbench" / "worker.py"), json.dumps(spec)], cwd=ROOT,
+                        OPENBLAS_NUM_THREADS="1")
     assert proc.returncode == 0, proc.stderr
     lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("PERFBENCH ")]
     report = json.loads(lines[-1][len("PERFBENCH "):])
