@@ -18,28 +18,56 @@ import scipy.sparse as sp
 from .graph import Graph, GraphError, normalized_adjacency, propagate
 from .numeric import least_squares, require_finite
 
-# feature columns propagated together by asgc_filter. Each call allocates one
-# ASGC_CHUNK x K x n hop block (3.5 MB at K=10 on 2,708 nodes) and reuses it for
-# every chunk; a (column, hop) pair is one contiguous n-row of it
-ASGC_CHUNK = 16
+# feature columns per block of both filters' hop loop; asgc's hops: 3.5 MB at K=10, n=2,708
+BLOCK_COLUMNS = 16
+
+
+def _hop_blocks(g: Graph, x, k_hops: int, add_self_loops: bool, kept: int):
+    """Check ``x`` once, yield its 2-D view, then ``(idx, block, hops)`` per block.
+
+    A block is up to :data:`BLOCK_COLUMNS` nonzero columns ``idx`` (a sparse ``x`` is read
+    as CSC; a stored zero is a zero): ``block`` is a new dense n x m copy of them and
+    ``hops[c, -i]`` hop K + 1 - i of column c, for i up to ``kept``. One :func:`propagate`
+    call per hop fills a workspace reused by every block; each column of a product equals
+    its own sparse-vector product bit for bit.
+    """
+    if k_hops < 1:
+        raise ValueError("k_hops must be >= 1")
+    sparse = sp.issparse(x)
+    x = x if sparse else np.asarray(x, dtype=np.float64)
+    cols = x.reshape(-1, 1) if x.ndim == 1 else x
+    if cols.ndim != 2 or cols.shape[0] != g.n:
+        raise GraphError(f"features must have shape (n,) or (n, f) with n = {g.n}, got {x.shape}")
+    cols = sp.csc_matrix(cols, dtype=np.float64) if sparse else cols
+    require_finite(cols, "features must be finite")
+    yield cols
+    op = normalized_adjacency(g, add_self_loops=add_self_loops)
+    # cols != 0 drops stored zeros; np.any builds no n x f mask
+    live = np.flatnonzero(np.asarray((cols != 0).sum(axis=0)) if sparse else np.any(cols, axis=0))
+    hops = np.empty((min(BLOCK_COLUMNS, len(live)), kept, g.n))
+    for start in range(0, len(live), BLOCK_COLUMNS):
+        idx = live[start : start + BLOCK_COLUMNS]
+        t = block = cols[:, idx].toarray() if sparse else cols[:, idx]
+        for k in range(k_hops):
+            t = propagate(op, t)
+            if k >= k_hops - kept:
+                hops[: len(idx), k - k_hops] = t.T
+        yield idx, block, hops[: len(idx)]
 
 
 def sgc_filter(g: Graph, x, k_hops: int = 6) -> np.ndarray:
     """Apply the self-loop propagation operator ``k_hops`` times.
 
-    The K-th operator power is never materialized; the features are propagated
-    repeatedly. Accepts a vector (n,) or matrix (n, f), dense or scipy sparse,
-    and returns a dense array of the same shape. A NaN or infinite feature
-    raises ``ValueError``.
+    Takes a vector (n,) or matrix (n, f), dense or scipy sparse, and returns a
+    C-ordered dense array of the same shape, the last hop of each column block.
+    No operator power and no dense copy of the input is built. A NaN or infinite
+    feature raises ``ValueError``.
     """
-    if k_hops < 1:
-        raise ValueError("k_hops must be >= 1")
-    out = np.asarray(x.toarray() if sp.issparse(x) else x, dtype=np.float64)
-    require_finite(out, "features must be finite")
-    op = normalized_adjacency(g, add_self_loops=True)
-    for _ in range(k_hops):
-        out = propagate(op, out)
-    return out
+    blocks = _hop_blocks(g, x, k_hops, add_self_loops=True, kept=1)
+    out = np.zeros(next(blocks).shape)
+    for idx, _, hops in blocks:
+        out[:, idx] = hops[:, -1].T
+    return out[:, 0] if np.ndim(x) == 1 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,57 +92,27 @@ def asgc_filter(g: Graph, x, k_hops: int = 6) -> AsgcResult:
     no-self-loop operator S, solve least squares against x_j, and return the
     reconstruction. An identically-zero feature column yields zero
     coefficients and zero output (the minimum-norm solution of the degenerate
-    problem).
-
-    Nonzero columns are propagated :data:`ASGC_CHUNK` at a time, one
-    :func:`propagate` call per hop; each column of that product equals its
-    own sparse-vector product bit for bit, so the chunk size never changes
-    the output. A scipy sparse ``x`` is read in CSC form, one dense
-    n x chunk slice at a time, and gives the bits of its dense form. A NaN
-    or infinite feature raises ``ValueError`` before the first hop.
+    problem). The hops come from the same block loop as ``sgc_filter``'s, so
+    a sparse ``x`` gives the bits of its dense form and a NaN or infinite
+    feature raises ``ValueError`` before the first hop.
     """
-    if k_hops < 1:
-        raise ValueError("k_hops must be >= 1")
-    x = sp.csc_matrix(x, dtype=np.float64) if sp.issparse(x) else np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    cols = x[:, None] if single else x
-    if cols.ndim != 2 or cols.shape[0] != g.n:
-        raise GraphError(f"features must have shape (n,) or (n, f) with n = {g.n}, got {x.shape}")
-    require_finite(x, "features must be finite")
-    op = normalized_adjacency(g, add_self_loops=False)
-    n, f = cols.shape
-    filtered = np.zeros((n, f))
+    blocks = _hop_blocks(g, x, k_hops, add_self_loops=False, kept=k_hops)
+    f = next(blocks).shape[1]
+    filtered = np.zeros((g.n, f))
     coefficients = np.zeros((f, k_hops))
     residual_norms = np.zeros(f)
-    live = np.flatnonzero(np.asarray((cols != 0).sum(axis=0)))  # a stored zero is a zero
-    # one workspace per call, reused by every chunk: hops[c, k] is S^(k+1)
-    # applied to the chunk's column c, out[c] its reconstruction
-    chunk = min(ASGC_CHUNK, len(live))
-    hops = np.empty((chunk, k_hops, n))
-    out = np.empty((chunk, n))
     # a C-ordered n x K basis: an F-ordered one takes another gemv kernel in
     # basis @ coefficients and moves the last bits
-    basis = np.empty((n, k_hops))
-    for start in range(0, len(live), ASGC_CHUNK):
-        idx = live[start : start + ASGC_CHUNK]
-        m = len(idx)
-        t = cols[:, idx].toarray() if sp.issparse(cols) else cols[:, idx]
-        targets = t.T.copy()
-        for k in range(k_hops):
-            t = propagate(op, t)
-            hops[:m, k, :] = t.T
+    basis = np.empty((g.n, k_hops))
+    for idx, block, hops in blocks:
         for c, j in enumerate(idx):
             np.copyto(basis, hops[c].T)
-            sol = least_squares(basis, targets[c])
+            sol = least_squares(basis, block[:, c])
             coefficients[j] = sol.coefficients
             residual_norms[j] = sol.residual_norm
-            out[c] = sol.fitted
-        filtered[:, idx] = out[:m].T
-    return AsgcResult(
-        filtered=filtered[:, 0] if single else filtered,
-        coefficients=coefficients,
-        residual_norms=residual_norms,
-    )
+            block[:, c] = sol.fitted  # the target is read, so its block column takes the output
+        filtered[:, idx] = block
+    return AsgcResult(filtered[:, 0] if np.ndim(x) == 1 else filtered, coefficients, residual_norms)
 
 
 def simplex_grid(resolution: int) -> list[tuple[float, float, float]]:

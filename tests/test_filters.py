@@ -183,10 +183,25 @@ def block_test_case():
     return g, x
 
 
+def full_width_sgc(g, x, k_hops):
+    """K products of the whole dense input, one per hop."""
+    op = normalized_adjacency(g, add_self_loops=True)
+    out = np.asarray(x, dtype=np.float64)
+    for _ in range(k_hops):
+        out = propagate(op, out)
+    return out
+
+
+def assert_c_ordered_float64(out):
+    # a trial copies any other layout before it reorders rows in place
+    assert out.dtype == np.float64 and out.flags.c_contiguous and out.flags.writeable
+
+
 def assert_asgc_equals_per_column_loop(g, x, k_hops):
     got = asgc_filter(g, x, k_hops)
     want = per_column_asgc(g, x, k_hops)
     assert got.filtered.shape == x.shape
+    assert_c_ordered_float64(got.filtered)
     for field, value in zip(("filtered", "coefficients", "residual_norms"), want):
         assert np.array_equal(getattr(got, field), value), field
 
@@ -194,10 +209,22 @@ def assert_asgc_equals_per_column_loop(g, x, k_hops):
 @pytest.mark.parametrize("chunk", [None, 1])
 def test_asgc_chunked_propagation_equals_per_column_loop(monkeypatch, chunk):
     g, x = block_test_case()
+    before = x.copy()
     if chunk is not None:
-        monkeypatch.setattr(asgc.filters, "ASGC_CHUNK", chunk)
+        monkeypatch.setattr(asgc.filters, "BLOCK_COLUMNS", chunk)
     for k in (1, 4, 9, 10):  # 9 and 10 are het-sweep's hop counts
         assert_asgc_equals_per_column_loop(g, x, k)
+        for got, want in [
+            (sgc_filter(g, x, k), full_width_sgc(g, x, k)),
+            (sgc_filter(g, sp.csr_matrix(x), k), full_width_sgc(g, x, k)),
+            (sgc_filter(g, x[:, 3], k), full_width_sgc(g, x[:, 3], k)),
+            (sgc_filter(g, x[:, 20], k), full_width_sgc(g, x[:, 20], k)),
+            (sgc_filter(g, sp.coo_array(x[:, 3]), k), full_width_sgc(g, x[:, 3], k)),
+        ]:
+            assert got.shape == want.shape and np.array_equal(got, want)
+            assert_c_ordered_float64(got)
+        assert np.all(sgc_filter(g, sp.csr_matrix(x), k)[:, 5] == 0)  # a zero column stays 0
+    assert np.array_equal(x, before)  # the filters write into copies of their input only
     # a feature seen only at an isolated node has an all-zero basis
     assert np.all(asgc_filter(g, x, 4).coefficients[20] == 0)
 
@@ -238,14 +265,17 @@ def test_asgc_reads_sparse_input_by_chunk_and_skips_stored_zero_columns(monkeypa
     assert lstsq_calls == [(41, 4)] * 35
 
 
-def test_asgc_on_sparse_features_allocates_no_dense_copy_of_them():
+@pytest.mark.parametrize(
+    "filt", [sgc_filter, lambda g, x, k: asgc_filter(g, x, k).filtered], ids=["sgc", "asgc"]
+)
+def test_asgc_on_sparse_features_allocates_no_dense_copy_of_them(filt):
     rng = np.random.default_rng(3)
     n, f = 2000, 1000
     g = Graph.from_edges(n, rng.integers(0, n, size=(4 * n, 2)))
     x = sp.random(n, f, density=0.01, format="csr", random_state=rng)
-    result, peak = traced_peak(lambda: asgc_filter(g, x, 2))
+    filtered, peak = traced_peak(lambda: filt(g, x, 2))
     dense_bytes = n * f * 8
-    assert peak < result.filtered.nbytes + dense_bytes / 2
+    assert peak < filtered.nbytes + dense_bytes / 2
 
 
 def test_asgc_reuses_one_chunk_workspace_per_call():
@@ -254,7 +284,7 @@ def test_asgc_reuses_one_chunk_workspace_per_call():
     g = Graph.from_edges(n, rng.integers(0, n, size=(4 * n, 2)))
     x = rng.standard_normal((n, f))
     result, peak = traced_peak(lambda: asgc_filter(g, x, k))
-    hop_block = asgc.filters.ASGC_CHUNK * k * n * 8
+    hop_block = asgc.filters.BLOCK_COLUMNS * k * n * 8
     # a new hop block per chunk keeps the last one alive too: 2.39 blocks here
     assert peak - result.filtered.nbytes < 2 * hop_block
 
