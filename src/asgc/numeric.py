@@ -18,6 +18,23 @@ float operations ``scipy.special.logsumexp`` (scipy 1.17) does on finite
 input, bit for bit, without its second, unshifted pass over the scores or its
 array-API dispatch; a row with a non-finite maximum goes to scipy's function.
 
+On a dense ``X`` with at least :data:`SPLIT_MIN` rows and columns, each of the
+two products is cut in two: ``W^T X^T`` at a row of ``X`` and ``P^T X`` at a
+column, each time at ``size // 2`` rounded down to a multiple of 8, and the
+halves are written into one preallocated C-ordered output. The partition
+depends on the shape alone, never on the CPU count, so the bytes do not
+either. With OpenBLAS 0.3.31 these halves gave the bits of the one-product
+form on every shape tried (n 1,024-5,201, f 1,024-3,703, 2-64 classes),
+while cuts that were not multiples of 8 moved bits on 94 of 280 shapes, and
+cuts made while the other dimension was under 1,024 on 6 of 185; hence both
+limits. :func:`fit_logistic` runs one half of each product on a helper
+thread, its only one, while the calling thread runs the other; BLAS releases
+the GIL, so the two use both cores. The thread exists only during a dense
+fit at split size where :func:`asgc.parallel.usable_cpus` reads at least 2,
+so never in a forked ``--jobs`` worker; elsewhere the halves run one after
+the other. CSR features, :func:`predict` and :func:`least_squares` are never
+split.
+
 ``scipy.optimize`` is imported by the first :func:`fit_logistic` call, not
 with this module: it takes ~0.3 s and ~28 MB to load, and only a fit uses it,
 so commands that never train do not pay it. The objective itself imports
@@ -32,12 +49,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
+from . import parallel
+
 # singular values below RANK_TOL times the largest count as zero in least_squares
 RANK_TOL = 1e-10
 # fit_logistic's iteration limit, gradient max-norm bound and ridge on the weights
 MAX_ITER = 1000
 GRAD_TOL = 1e-5
 L2_STRENGTH = 1e-4
+# a dense product is cut in two halves only when X has this many rows and columns
+SPLIT_MIN = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,24 +161,59 @@ def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
     return np.log1p(s) + np.log(m) + z_max
 
 
-def softmax_objective(params, x, y_index, n_classes, l2_strength):
+def _splits(x) -> bool:
+    """Whether products with ``x`` or ``x.T`` are cut in two: dense, SPLIT_MIN or more each way."""
+    return isinstance(x, np.ndarray) and min(x.shape) >= SPLIT_MIN
+
+
+def _matmul(a, b, pool=None):
+    """``a @ b``, in two column halves where :func:`_splits` holds for ``b``.
+
+    The halves meet at ``b``'s middle column rounded down to a multiple of 8
+    and are written into one C-ordered output (module docstring). With a
+    ``pool``, its thread computes the first half while this one computes the
+    second.
+    """
+    if not _splits(b):
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]))
+    cut = b.shape[1] // 2 // 8 * 8
+
+    def half(cols):
+        np.matmul(a, b[:, cols], out=out[:, cols])
+
+    if pool is None:
+        half(slice(None, cut))
+        half(slice(cut, None))
+    else:
+        first = pool.submit(half, slice(None, cut))
+        try:
+            half(slice(cut, None))
+        finally:
+            first.result()  # nothing writes into out after this returns or raises
+    return out
+
+
+def softmax_objective(params, x, y_index, n_classes, l2_strength, pool=None):
     """Mean cross-entropy plus 0.5 * l2 * ||W||^2; returns (loss, gradient).
 
     The cross-entropy term is averaged per sample, so duplicating every row
     of the training set leaves the objective (and the fitted model) unchanged.
+    ``pool``, a one-thread executor or None, shares the two dense products
+    (module docstring); it moves no bit of the result.
     """
     n, f = x.shape
     w = params[: f * n_classes].reshape(f, n_classes)
     b = params[f * n_classes :]
     # reoriented x @ w and x.T @ p (module docstring); z must be C-ordered,
     # since the log-sum-exp's reduction order follows the memory layout
-    z = np.ascontiguousarray((w.T @ x.T).T) + b
+    z = np.ascontiguousarray(_matmul(w.T, x.T, pool).T) + b
     log_p = z - _logsumexp_rows(z)
     loss = -log_p[np.arange(n), y_index].mean() + 0.5 * l2_strength * float(np.sum(w * w))
     p = np.exp(log_p)
     p[np.arange(n), y_index] -= 1.0
     p /= n
-    grad_w = (p.T @ x).T + l2_strength * w
+    grad_w = _matmul(p.T, x, pool).T + l2_strength * w
     grad_b = p.sum(axis=0)
     return loss, np.concatenate([grad_w.ravel(), grad_b])
 
@@ -171,6 +227,8 @@ def fit_logistic(x, y) -> LogisticModel:
         y: length-n integer labels with at least two distinct values.
 
     The optimizer starts from zero parameters, so results are deterministic.
+    A dense fit at split size may run a helper thread (module docstring),
+    which is joined before this returns or raises; it moves no bit.
     If it stops without converging (for instance at :data:`MAX_ITER`), a
     ``RuntimeWarning`` carrying the optimizer's message is emitted and the
     last iterate is returned.
@@ -187,14 +245,23 @@ def fit_logistic(x, y) -> LogisticModel:
         raise ValueError("single-class training set: need at least two distinct labels")
     n, f = x.shape
     n_classes = len(classes)
-    result = scipy.optimize.minimize(
-        softmax_objective,
-        np.zeros(f * n_classes + n_classes),
-        args=(x, y_index, n_classes, L2_STRENGTH),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": MAX_ITER, "gtol": GRAD_TOL, "ftol": 1e-15},
-    )
+    pool = None
+    if _splits(x) and parallel.usable_cpus() >= 2:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(1)
+    try:
+        result = scipy.optimize.minimize(
+            softmax_objective,
+            np.zeros(f * n_classes + n_classes),
+            args=(x, y_index, n_classes, L2_STRENGTH, pool),
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxiter": MAX_ITER, "gtol": GRAD_TOL, "ftol": 1e-15},
+        )
+    finally:
+        if pool is not None:
+            pool.shutdown()
     if not result.success:
         warnings.warn(
             f"fit_logistic did not converge after {result.nit} iterations: {result.message}",

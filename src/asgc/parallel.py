@@ -8,6 +8,11 @@ of asgc (~0.3 s, most of what a second core saves on ``synth``). A work
 item's writes to shared state stay in its worker and are lost, so items must
 return everything they produce. Every experiment item derives its own RNG
 stream with :func:`spawn_seed`, so results are identical for any ``jobs``.
+
+:func:`usable_cpus` is the one CPU budget: ``parallel_map`` caps its workers
+with it, and ``fit_logistic`` starts its helper thread only where it reads 2
+or more. A forked worker reads 1, so ``--jobs 2`` never runs two threads in
+each of two workers on two cores.
 """
 
 from __future__ import annotations
@@ -26,6 +31,14 @@ def spawn_seed(seed: int, *key: int) -> int:
     """
     ss = np.random.SeedSequence(seed, spawn_key=key)
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on; 1 inside a :func:`parallel_map` worker."""
+    if _fn is not None:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cpus or 1
 
 
 def _init(fn) -> None:
@@ -48,8 +61,7 @@ def parallel_map(fn, items, jobs: int = 1) -> list:
     returns, also when an item raises; the caller gets that item's exception.
     """
     items = list(items)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(jobs, len(items), cpus or 1)
+    workers = min(jobs, len(items), usable_cpus())
     if workers <= 1:
         return [fn(item) for item in items]
     import multiprocessing

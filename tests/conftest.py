@@ -165,6 +165,18 @@ def reference_softmax_objective(params, x, y_index, n_classes, l2_strength):
     return loss, np.concatenate([grad_w.ravel(), grad_b])
 
 
+def split_size_problem(n=1100, f=1100, n_classes=7, seed=1100):
+    """Seeded dense ``n`` x ``f`` 0/1 features (2% ones) and labels of ``n_classes`` classes.
+
+    At the default size both dimensions reach ``asgc.numeric.SPLIT_MIN``, so
+    a fit on it cuts each dense product in two.
+    """
+    rng = np.random.default_rng(seed)
+    x = (rng.random((n, f)) < 0.02).astype(np.float64)
+    y = np.argmax(x @ rng.standard_normal((f, n_classes)) + rng.standard_normal((n, n_classes)), axis=1)
+    return x, y
+
+
 def toy_dataset(n_per_block=60, n_features=6, log_ratio=2.0, seed=0, name="toy") -> LabeledDataset:
     """Two-block SBM with block-informative noisy features, for protocol tests."""
     g, _, block = generate_sbm(SbmConfig(n_per_block, 8.0, log_ratio, seed))

@@ -10,7 +10,7 @@ import pytest
 
 from asgc.cli import build_parser, main, svg_line_chart
 from asgc.experiments import METHODS
-from conftest import fresh_python, traced_peak, write_dataset
+from conftest import fresh_python, split_size_problem, traced_peak, write_dataset
 
 
 @pytest.fixture
@@ -675,3 +675,34 @@ def test_classify_bytes_do_not_depend_on_blas_threads(toy_manifest, tmp_path, me
         assert run.returncode == 0, run.stderr
     name = f"classify_toy_{method}.csv"
     assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_sweep_at_split_size_writes_the_same_bytes_for_any_cpu_budget(tmp_path):
+    # 1,400 nodes x 1,100 features: asgc's 1,120-row training block reaches
+    # SPLIT_MIN, so its fits cut both dense products in two (raw's stay CSR).
+    # The CLI as installed pins BLAS; its --jobs 1 fits run a helper thread
+    # where 2 CPUs are usable, forked --jobs 2 workers and a 1-CPU budget none
+    features, labels = split_size_problem(n=1400, f=1100, n_classes=5, seed=14)
+    edges = np.random.default_rng(14).integers(0, 1400, (2800, 2))
+    write_dataset(tmp_path, edges[edges[:, 0] != edges[:, 1]], features.astype(int), labels)
+    args = [
+        "sweep", "--manifest", str(tmp_path / "data.manifest"), "--dataset", "toy",
+        "--method", "raw", "--method", "asgc", "--k-min", "2", "--k-max", "2",
+        "--trials", "2", "--seed", "3",
+    ]
+    one_cpu = (
+        "import sys, asgc.__main__ as entry\n"
+        "from asgc import parallel\n"
+        "parallel.usable_cpus = lambda: 1\n"
+        "sys.exit(entry.main(sys.argv[1:]))\n"
+    )
+    runs = {
+        "jobs1": ["-m", "asgc", *args, "--jobs", "1"],
+        "jobs2": ["-m", "asgc", *args, "--jobs", "2"],
+        "one_cpu": ["-c", one_cpu, *args, "--jobs", "1"],
+    }
+    for name, argv in runs.items():
+        run = fresh_python(argv + ["--out", str(tmp_path / name)], unset=BLAS_THREAD_VARS)
+        assert run.returncode == 0, run.stderr
+    csvs = {(tmp_path / name / "sweep_toy.csv").read_bytes() for name in runs}
+    assert len(csvs) == 1
