@@ -8,8 +8,9 @@ accuracy report from result CSVs), ``homophily`` (dataset statistic).
 All CSV output is deterministic: header row, fixed column order, floats with
 6 decimal places, and rows in a fixed sort order. SVG line charts are emitted
 next to the sweep CSVs as a convenience. Exit codes: 0 success, 2 usage error
-(unknown flag or bad invocation), 3 missing file, 4 malformed data or config,
-1 anything else.
+(an unknown flag, or a flag value outside its own range, such as a count
+below 1), 3 missing file, 4 malformed data or bad config (flags that are each
+valid but conflict, or describe an invalid SBM), 1 anything else.
 """
 
 from __future__ import annotations
@@ -168,8 +169,6 @@ def cmd_synth(args) -> Path:
 
 
 def cmd_filter(args) -> Path:
-    if args.k < 1:
-        raise ValueError("k_hops must be >= 1")
     ds = load_from_manifest(args.manifest, args.dataset)
     out = Path(args.out)
     stem = f"{ds.name}_{args.method}_k{args.k}"
@@ -178,10 +177,9 @@ def cmd_filter(args) -> Path:
     else:
         result = asgc_filter(ds.graph, ds.features, args.k)
         filtered = result.filtered
-        k = args.k
         write_csv(
             out / f"{stem}_coefficients.csv",
-            ("feature",) + tuple(f"c{i}" for i in range(1, k + 1)),
+            ("feature",) + tuple(f"c{i}" for i in range(1, args.k + 1)),
             [(j, *map(float, result.coefficients[j])) for j in range(result.coefficients.shape[0])],
         )
         write_csv(
@@ -216,7 +214,6 @@ def _trial_header(*extra) -> tuple:
 
 
 def cmd_classify(args) -> Path:
-    check_sweep([args.method], [args.k], args.trials, args.resolution)
     ds = load_from_manifest(args.manifest, args.dataset)
     results = classification_trials(
         ds,
@@ -242,12 +239,13 @@ def cmd_classify(args) -> Path:
 
 def cmd_sweep(args) -> Path:
     methods = args.method or list(METHODS)
-    check_sweep(methods, range(args.k_min, args.k_max + 1), args.trials, args.resolution)
+    k_values = range(args.k_min, args.k_max + 1)
+    check_sweep(methods, k_values, args.trials, args.resolution)
     ds = load_from_manifest(args.manifest, args.dataset)
     results = k_sweep(
         ds,
         methods,
-        k_values=range(args.k_min, args.k_max + 1),
+        k_values=k_values,
         trials=args.trials,
         seed=args.seed,
         resolution=args.resolution,
@@ -260,7 +258,7 @@ def cmd_sweep(args) -> Path:
     series = []
     for m in methods:
         pts = []
-        for k in range(args.k_min, args.k_max + 1):
+        for k in k_values:
             accs = [r.test_accuracy for r in results if r.method == m and r.k_hops == k]
             pts.append((k, float(np.mean(accs))))
         series.append((m, pts))
@@ -405,27 +403,26 @@ def build_parser() -> argparse.ArgumentParser:
     dataset.add_argument("--manifest", required=True, help="path to a dataset manifest file")
     dataset.add_argument("--dataset", required=True, help="dataset name from the manifest")
     trials = argparse.ArgumentParser(add_help=False)
-    trials.add_argument("--trials", type=int, default=10)
+    trials.add_argument("--trials", type=_at_least(1), default=10)
     trials.add_argument("--seed", type=_at_least(0), default=0)
     trials.add_argument("--jobs", type=_at_least(1), default=1, help="worker processes")
     protocol = argparse.ArgumentParser(add_help=False, parents=[dataset, trials, out])
-    protocol.add_argument("--resolution", type=int, default=3)
+    protocol.add_argument("--resolution", type=_at_least(1), default=3)
+    hops = argparse.ArgumentParser(add_help=False)
+    hops.add_argument("--k", type=_at_least(1), default=6, help="filter hop count")
 
-    synth = add("synth", parents=[trials, out], help="run the synthetic SBM denoising sweep")
-    synth.add_argument("--k", type=int, default=6, help="filter hop count")
+    synth = add("synth", parents=[trials, out, hops], help="run the synthetic SBM denoising sweep")
     synth.add_argument("--log-ratio-min", type=float, default=-5.0)
     synth.add_argument("--log-ratio-max", type=float, default=5.0)
-    synth.add_argument("--log-ratio-steps", type=int, default=21)
+    synth.add_argument("--log-ratio-steps", type=_at_least(1), default=21)
     synth.set_defaults(func=cmd_synth)
 
-    filt = add("filter", parents=[dataset, out], help="write filtered features for a dataset")
+    filt = add("filter", parents=[dataset, out, hops], help="write filtered features for a dataset")
     filt.add_argument("--method", choices=("sgc", "asgc"), required=True)
-    filt.add_argument("--k", type=int, default=6)
     filt.set_defaults(func=cmd_filter)
 
-    classify = add("classify", parents=[protocol], help="multi-trial protocol for one method")
+    classify = add("classify", parents=[protocol, hops], help="multi-trial protocol for one method")
     classify.add_argument("--method", choices=METHODS, required=True)
-    classify.add_argument("--k", type=int, default=6)
     classify.set_defaults(func=cmd_classify)
 
     sweep = add("sweep", parents=[protocol], help="hop-count sweep across methods")
@@ -433,14 +430,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=METHODS, action="append",
         help="method to include (repeatable; default: all)",
     )
-    sweep.add_argument("--k-min", type=int, default=1)
-    sweep.add_argument("--k-max", type=int, default=10)
+    sweep.add_argument("--k-min", type=_at_least(1), default=1)
+    sweep.add_argument("--k-max", type=_at_least(1), default=10)
     sweep.set_defaults(func=cmd_sweep)
 
     agg = add("aggregate", parents=[out], help="proportional-accuracy report from result CSVs")
     agg.add_argument("--results", action="append", required=True, help="classify/sweep CSV (repeatable)")
     agg.add_argument("--external", help="CSV of reported reference accuracies (method,dataset,accuracy)")
-    agg.add_argument("--k", type=int, default=None, help="only aggregate rows with this hop count")
+    agg.add_argument("--k", type=_at_least(1), default=None, help="only aggregate rows with this hop count")
     agg.set_defaults(func=cmd_aggregate)
 
     hom = add("homophily", parents=[dataset], help="print the same-label neighbor statistic")

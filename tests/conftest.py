@@ -13,6 +13,10 @@ independent routes to the same quantity.
 
 from __future__ import annotations
 
+# BLAS reads its thread count when numpy loads, so the `asgc` entry's pin
+# (one thread unless the environment sets a count) comes before numpy
+import asgc.__main__  # noqa: F401
+
 import os
 import subprocess
 import sys

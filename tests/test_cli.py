@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from asgc.__main__ import THREAD_VARS
 from asgc.cli import build_parser, main, svg_line_chart
 from asgc.experiments import METHODS
 from conftest import fresh_python, split_size_problem, traced_peak, write_dataset
@@ -65,36 +66,46 @@ def test_synth_output_is_byte_identical_across_runs(tmp_path):
     assert a == b
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1", "abc"])
-@pytest.mark.parametrize("subcommand", ["synth", "classify", "sweep"])
-def test_jobs_below_one_is_a_usage_error(toy_manifest, tmp_path, capsys, subcommand, jobs):
-    out = tmp_path / "out"
-    args = [subcommand, "--jobs", jobs, "--out", str(out)]
-    if subcommand != "synth":
-        args += ["--manifest", str(toy_manifest), "--dataset", "toy", "--method", "raw"]
+LOAD = ["--manifest", "data.manifest", "--dataset", "toy"]
+# subcommand: (the flags it requires, {count flag: its minimum})
+COUNT_FLAGS = {
+    "synth": ([], {"--trials": 1, "--seed": 0, "--jobs": 1, "--k": 1, "--log-ratio-steps": 1}),
+    "filter": ([*LOAD, "--method", "asgc"], {"--k": 1}),
+    "classify": (
+        [*LOAD, "--method", "combo"],
+        {"--trials": 1, "--seed": 0, "--jobs": 1, "--k": 1, "--resolution": 1},
+    ),
+    "sweep": (
+        LOAD, {"--trials": 1, "--seed": 0, "--jobs": 1, "--k-min": 1, "--k-max": 1, "--resolution": 1},
+    ),
+    "aggregate": (["--results", "sweep_toy.csv"], {"--k": 1}),
+}
+
+
+@pytest.mark.parametrize(
+    "subcommand, flag, value",
+    [
+        pytest.param(subcommand, flag, value, id=f"{subcommand} {flag} {value}")
+        for subcommand, (_, minimums) in COUNT_FLAGS.items()
+        for flag, minimum in minimums.items()
+        for value in (str(minimum - 1), "abc")
+    ],
+)
+def test_count_flag_out_of_range_is_a_usage_error(
+    tmp_path, monkeypatch, capsys, subcommand, flag, value
+):
+    # argparse rejects the value before any load, filter or worker pool runs
+    for target in ("asgc.cli.load_from_manifest", "asgc.synthetic.parallel_map",
+                   "asgc.experiments.sgc_filter", "asgc.experiments.asgc_filter"):
+        monkeypatch.setattr(target, lambda *a, target=target, **k: pytest.fail(f"{target} ran"))
+    monkeypatch.chdir(tmp_path)
+    required, minimums = COUNT_FLAGS[subcommand]
     with pytest.raises(SystemExit) as exc:
-        main(args)
+        main([subcommand, *required, flag, value, "--out", "out"])
     assert exc.value.code == 2
-    want = "invalid int value: 'abc'" if jobs == "abc" else f"must be >= 1, got {jobs}"
-    assert f"argument --jobs: {want}" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("subcommand", ["synth", "classify", "sweep"])
-def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, subcommand):
-    def no_load(*args, **kwargs):
-        pytest.fail("the dataset was loaded before --seed was checked")
-
-    monkeypatch.setattr("asgc.cli.load_from_manifest", no_load)
-    out = tmp_path / "out"
-    args = [subcommand, "--seed", "-1", "--out", str(out)]
-    if subcommand != "synth":
-        args += ["--manifest", str(tmp_path / "data.manifest"), "--dataset", "toy", "--method", "raw"]
-    with pytest.raises(SystemExit) as exc:
-        main(args)
-    assert exc.value.code == 2
-    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
-    assert not out.exists()
+    want = "invalid int value: 'abc'" if value == "abc" else f"must be >= {minimums[flag]}, got {value}"
+    assert f"argument {flag}: {want}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unexpected_error_in_a_command_exits_1(tmp_path, monkeypatch, capsys):
@@ -164,16 +175,6 @@ def test_classify_deterministic(toy_manifest, tmp_path, method):
     ).read_bytes()
 
 
-@pytest.mark.parametrize("subcommand", ["classify", "sweep"])
-def test_zero_trials_gives_bad_data_code(toy_manifest, tmp_path, subcommand):
-    out = tmp_path / "out"
-    args = [subcommand, "--manifest", str(toy_manifest), "--dataset", "toy", "--trials", "0"]
-    if subcommand == "classify":
-        args += ["--method", "raw"]
-    assert main(args + ["--out", str(out)]) == 4
-    assert not list(out.glob("*.csv"))
-
-
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("subcommand", ["classify", "sweep"])
 def test_single_class_dataset_fails_cleanly(toy_manifest, tmp_path, capsys, subcommand, jobs):
@@ -189,31 +190,10 @@ def test_single_class_dataset_fails_cleanly(toy_manifest, tmp_path, capsys, subc
 
 
 @pytest.mark.parametrize(
-    "subcommand, methods",
-    [("classify", ["--method", "combo"]), ("sweep", ["--method", "raw", "--method", "combo"])],
-)
-def test_combo_resolution_below_one_fails_before_filtering(
-    toy_manifest, tmp_path, monkeypatch, subcommand, methods
-):
-    def no_filtering(*args, **kwargs):
-        pytest.fail("features were filtered before --resolution was checked")
-
-    monkeypatch.setattr("asgc.experiments.sgc_filter", no_filtering)
-    monkeypatch.setattr("asgc.experiments.asgc_filter", no_filtering)
-    out = tmp_path / "out"
-    args = [subcommand, "--manifest", str(toy_manifest), "--dataset", "toy", "--resolution", "0"]
-    assert main(args + methods + ["--out", str(out)]) == 4
-    assert not list(out.glob("*.csv"))
-
-
-@pytest.mark.parametrize(
     "argv, message",
     [
-        (["classify", "--method", "raw", "--trials", "0"], "trials must be >= 1"),
-        (["sweep", "--k-min", "0"], "k_hops must be >= 1"),
-        (["classify", "--method", "combo", "--resolution", "0"], "resolution must be >= 1"),
-        (["filter", "--method", "sgc", "--k", "0"], "k_hops must be >= 1"),
         (["sweep", "--k-min", "3", "--k-max", "2"], "k_values must be nonempty, got range(3, 3)"),
+        (["sweep", "--method", "raw", "--method", "raw"], "methods must not repeat: ['raw', 'raw']"),
     ],
 )
 def test_bad_protocol_arguments_fail_before_the_dataset_loads(
@@ -233,7 +213,6 @@ def test_bad_protocol_arguments_fail_before_the_dataset_loads(
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--k", "0"], "k_hops must be >= 1"),
         (["--log-ratio-min", "-800"], "derived edge probabilities out of range: p=0, q=0.02"),
         (["--log-ratio-max", "1000"], "exp(log_ratio) is not finite: log_ratio=748.75"),
         (
@@ -253,16 +232,6 @@ def test_bad_synth_arguments_fail_before_the_worker_pool(
     assert main(["synth", *argv, "--jobs", "2", "--out", str(out)]) == 4
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "subcommand, hops", [("classify", ["--k", "0"]), ("sweep", ["--k-min", "0", "--k-max", "1"])]
-)
-def test_zero_hops_gives_bad_data_code_for_k_free_method(toy_manifest, tmp_path, subcommand, hops):
-    out = tmp_path / "out"
-    args = [subcommand, "--manifest", str(toy_manifest), "--dataset", "toy", "--method", "raw"]
-    assert main(args + hops + ["--out", str(out)]) == 4
-    assert not list(out.glob("*.csv"))
 
 
 def test_filter_writes_feature_matrix(toy_manifest, tmp_path):
@@ -470,7 +439,7 @@ DATASET_FLAGS = {
     "--manifest": (None, None, None, True, "store"), "--dataset": (None, None, None, True, "store"),
 }
 TRIAL_FLAGS = {
-    "--trials": (10, "int", None, False, "store"), "--seed": (0, "at_least_0", None, False, "store"),
+    "--trials": (10, "at_least_1", None, False, "store"), "--seed": (0, "at_least_0", None, False, "store"),
     "--jobs": (1, "at_least_1", None, False, "store"),
 }
 OUT_FLAG = {"--out": (".", None, None, False, "store")}
@@ -480,37 +449,37 @@ OUT_FLAG = {"--out": (".", None, None, False, "store")}
     "subcommand, want",
     [
         ("synth", {
-            "--k": (6, "int", None, False, "store"),
+            "--k": (6, "at_least_1", None, False, "store"),
             "--log-ratio-min": (-5.0, "float", None, False, "store"),
             "--log-ratio-max": (5.0, "float", None, False, "store"),
-            "--log-ratio-steps": (21, "int", None, False, "store"),
+            "--log-ratio-steps": (21, "at_least_1", None, False, "store"),
             **TRIAL_FLAGS, **OUT_FLAG,
         }),
         ("filter", {
             **DATASET_FLAGS,
             "--method": (None, None, ("sgc", "asgc"), True, "store"),
-            "--k": (6, "int", None, False, "store"),
+            "--k": (6, "at_least_1", None, False, "store"),
             **OUT_FLAG,
         }),
         ("classify", {
             **DATASET_FLAGS,
             "--method": (None, None, METHODS, True, "store"),
-            "--k": (6, "int", None, False, "store"),
-            "--resolution": (3, "int", None, False, "store"),
+            "--k": (6, "at_least_1", None, False, "store"),
+            "--resolution": (3, "at_least_1", None, False, "store"),
             **TRIAL_FLAGS, **OUT_FLAG,
         }),
         ("sweep", {
             **DATASET_FLAGS,
             "--method": (None, None, METHODS, False, "append"),
-            "--k-min": (1, "int", None, False, "store"),
-            "--k-max": (10, "int", None, False, "store"),
-            "--resolution": (3, "int", None, False, "store"),
+            "--k-min": (1, "at_least_1", None, False, "store"),
+            "--k-max": (10, "at_least_1", None, False, "store"),
+            "--resolution": (3, "at_least_1", None, False, "store"),
             **TRIAL_FLAGS, **OUT_FLAG,
         }),
         ("aggregate", {
             "--results": (None, None, None, True, "append"),
             "--external": (None, None, None, False, "store"),
-            "--k": (None, "int", None, False, "store"),
+            "--k": (None, "at_least_1", None, False, "store"),
             **OUT_FLAG,
         }),
         ("homophily", DATASET_FLAGS),
@@ -599,18 +568,13 @@ def test_help_available_for_every_subcommand(capsys):
         assert capsys.readouterr().out.startswith(f"usage: asgc {sub}")
 
 
-# every variable that sets a BLAS thread count, as the `asgc` entry knows them
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "GOTO_NUM_THREADS")
-
-
 @pytest.mark.skipif(
     sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
     reason="counts /proc/self/task, where BLAS starts threads only with 2+ usable CPUs",
 )
 def test_the_entry_starts_no_blas_thread():
     script = "import os, asgc.__main__; print(len(os.listdir('/proc/self/task')))"
-    run = fresh_python(["-c", script], unset=BLAS_THREAD_VARS)
+    run = fresh_python(["-c", script], unset=THREAD_VARS)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "1"
 
@@ -620,8 +584,8 @@ def test_the_entry_starts_no_blas_thread():
     [({}, ["1"] * 6), ({"OMP_NUM_THREADS": "2"}, [None, "2", None, None, None, None])],
 )
 def test_the_entry_sets_thread_counts_only_where_none_is_set(preset, expected):
-    script = f"import os, asgc.__main__; print([os.environ.get(v) for v in {BLAS_THREAD_VARS!r}])"
-    run = fresh_python(["-c", script], unset=BLAS_THREAD_VARS, **preset)
+    script = f"import os, asgc.__main__; print([os.environ.get(v) for v in {THREAD_VARS!r}])"
+    run = fresh_python(["-c", script], unset=THREAD_VARS, **preset)
     assert run.returncode == 0, run.stderr
     assert ast.literal_eval(run.stdout) == expected
 
@@ -671,7 +635,9 @@ def test_classify_bytes_do_not_depend_on_blas_threads(toy_manifest, tmp_path, me
         "--method", method, "--resolution", "1", "--trials", "2", "--seed", "5", "--jobs", "2",
     ]
     for threads in ("1", "2"):
-        run = fresh_python(args + ["--out", str(tmp_path / threads)], OPENBLAS_NUM_THREADS=threads)
+        run = fresh_python(
+            args + ["--out", str(tmp_path / threads)], unset=THREAD_VARS, OPENBLAS_NUM_THREADS=threads
+        )
         assert run.returncode == 0, run.stderr
     name = f"classify_toy_{method}.csv"
     assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
@@ -702,7 +668,7 @@ def test_sweep_at_split_size_writes_the_same_bytes_for_any_cpu_budget(tmp_path):
         "one_cpu": ["-c", one_cpu, *args, "--jobs", "1"],
     }
     for name, argv in runs.items():
-        run = fresh_python(argv + ["--out", str(tmp_path / name)], unset=BLAS_THREAD_VARS)
+        run = fresh_python(argv + ["--out", str(tmp_path / name)], unset=THREAD_VARS)
         assert run.returncode == 0, run.stderr
     csvs = {(tmp_path / name / "sweep_toy.csv").read_bytes() for name in runs}
     assert len(csvs) == 1
