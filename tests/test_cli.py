@@ -66,18 +66,46 @@ def test_synth_output_is_byte_identical_across_runs(tmp_path):
     assert a == b
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1", "abc"])
+@pytest.mark.parametrize("subcommand", ["synth", "classify", "sweep"])
+def test_jobs_below_one_is_a_usage_error(toy_manifest, tmp_path, capsys, subcommand, jobs):
+    out = tmp_path / "out"
+    args = [subcommand, "--jobs", jobs, "--out", str(out)]
+    if subcommand != "synth":
+        args += ["--manifest", str(toy_manifest), "--dataset", "toy", "--method", "raw"]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    want = "invalid int value: 'abc'" if jobs == "abc" else f"must be >= 1, got {jobs}"
+    assert f"argument --jobs: {want}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["synth", "classify", "sweep"])
+def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, subcommand):
+    def no_load(*args, **kwargs):
+        pytest.fail("the dataset was loaded before --seed was checked")
+
+    monkeypatch.setattr("asgc.cli.load_from_manifest", no_load)
+    out = tmp_path / "out"
+    args = [subcommand, "--seed", "-1", "--out", str(out)]
+    if subcommand != "synth":
+        args += ["--manifest", str(tmp_path / "data.manifest"), "--dataset", "toy", "--method", "raw"]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 LOAD = ["--manifest", "data.manifest", "--dataset", "toy"]
-# subcommand: (the flags it requires, {count flag: its minimum})
+# subcommand: (the flags it requires, {count flag: its minimum}); --jobs and
+# --seed have their own tests above
 COUNT_FLAGS = {
-    "synth": ([], {"--trials": 1, "--seed": 0, "--jobs": 1, "--k": 1, "--log-ratio-steps": 1}),
+    "synth": ([], {"--trials": 1, "--k": 1, "--log-ratio-steps": 1}),
     "filter": ([*LOAD, "--method", "asgc"], {"--k": 1}),
-    "classify": (
-        [*LOAD, "--method", "combo"],
-        {"--trials": 1, "--seed": 0, "--jobs": 1, "--k": 1, "--resolution": 1},
-    ),
-    "sweep": (
-        LOAD, {"--trials": 1, "--seed": 0, "--jobs": 1, "--k-min": 1, "--k-max": 1, "--resolution": 1},
-    ),
+    "classify": ([*LOAD, "--method", "combo"], {"--trials": 1, "--k": 1, "--resolution": 1}),
+    "sweep": (LOAD, {"--trials": 1, "--k-min": 1, "--k-max": 1, "--resolution": 1}),
     "aggregate": (["--results", "sweep_toy.csv"], {"--k": 1}),
 }
 
@@ -175,6 +203,25 @@ def test_classify_deterministic(toy_manifest, tmp_path, method):
     ).read_bytes()
 
 
+def assert_usage_error(argv, capsys, flag, value, minimum=1):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= {minimum}, got {value}" in capsys.readouterr().err
+
+
+# --trials 0 was a bad-data error (exit 4) when the command checked it; argparse
+# now refuses it as a usage error (exit 2), with a real dataset in place
+@pytest.mark.parametrize("subcommand", ["classify", "sweep"])
+def test_zero_trials_gives_bad_data_code(toy_manifest, tmp_path, capsys, subcommand):
+    out = tmp_path / "out"
+    args = [subcommand, "--manifest", str(toy_manifest), "--dataset", "toy", "--trials", "0"]
+    if subcommand == "classify":
+        args += ["--method", "raw"]
+    assert_usage_error(args + ["--out", str(out)], capsys, "--trials", 0)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("subcommand", ["classify", "sweep"])
 def test_single_class_dataset_fails_cleanly(toy_manifest, tmp_path, capsys, subcommand, jobs):
@@ -187,6 +234,24 @@ def test_single_class_dataset_fails_cleanly(toy_manifest, tmp_path, capsys, subc
     err = capsys.readouterr().err
     assert err == "error: single-class training set: need at least two distinct labels\n"
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "subcommand, methods",
+    [("classify", ["--method", "combo"]), ("sweep", ["--method", "raw", "--method", "combo"])],
+)
+def test_combo_resolution_below_one_fails_before_filtering(
+    toy_manifest, tmp_path, monkeypatch, capsys, subcommand, methods
+):
+    def no_filtering(*args, **kwargs):
+        pytest.fail("features were filtered before --resolution was checked")
+
+    monkeypatch.setattr("asgc.experiments.sgc_filter", no_filtering)
+    monkeypatch.setattr("asgc.experiments.asgc_filter", no_filtering)
+    out = tmp_path / "out"
+    args = [subcommand, "--manifest", str(toy_manifest), "--dataset", "toy", "--resolution", "0"]
+    assert_usage_error(args + methods + ["--out", str(out)], capsys, "--resolution", 0)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -231,6 +296,19 @@ def test_bad_synth_arguments_fail_before_the_worker_pool(
     out = tmp_path / "out"
     assert main(["synth", *argv, "--jobs", "2", "--out", str(out)]) == 4
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+# a hop count below one is refused even for raw, which never filters
+@pytest.mark.parametrize(
+    "subcommand, hops", [("classify", ["--k", "0"]), ("sweep", ["--k-min", "0", "--k-max", "1"])]
+)
+def test_zero_hops_gives_bad_data_code_for_k_free_method(
+    toy_manifest, tmp_path, capsys, subcommand, hops
+):
+    out = tmp_path / "out"
+    args = [subcommand, "--manifest", str(toy_manifest), "--dataset", "toy", "--method", "raw"]
+    assert_usage_error(args + hops + ["--out", str(out)], capsys, hops[0], 0)
     assert not out.exists()
 
 
