@@ -291,8 +291,8 @@ def k_sweep(
     methods = list(methods)
     k_values = list(k_values)
     check_sweep(methods, k_values, trials, resolution)
-    if jobs > 1:
-        import scipy.optimize  # noqa: F401  # once here, not again in every forked worker
+    # every sweep fits: import once, so forked workers inherit it and no fit's time holds it
+    import scipy.optimize  # noqa: F401
     splits = [make_splits(ds.n, spawn_seed(seed, t)) for t in range(trials)]
     results = []
     first = None  # the first hop count's results, one {method: result} per trial

@@ -132,7 +132,7 @@ def propagate(op: PropagationOperator, x: np.ndarray) -> np.ndarray:
     n = op.csr.shape[0]
     if x.ndim not in (1, 2) or x.shape[0] != n:
         raise GraphError(f"features must have shape (n,) or (n, f) with n = {n}, got {x.shape}")
-    return op.matrix() @ x
+    return op.csr @ x
 
 
 def laplacian_quadratic_form(g: Graph, x: np.ndarray) -> float:

@@ -35,10 +35,10 @@ so never in a forked ``--jobs`` worker; elsewhere the halves run one after
 the other. CSR features, :func:`predict` and :func:`least_squares` are never
 split.
 
-``scipy.optimize`` is imported by the first :func:`fit_logistic` call, not
-with this module: it takes ~0.3 s and ~28 MB to load, and only a fit uses it,
-so commands that never train do not pay it. The objective itself imports
-nothing from scipy unless its scores hold an inf or a NaN.
+``scipy.optimize`` takes ~0.3 s and ~28 MB to load, so only code that fits
+loads it: :func:`fit_logistic`, and :func:`asgc.experiments.k_sweep` once
+before its first trial, so forked workers inherit it and no fit's time holds
+the import. The objective imports scipy only for an inf or a NaN score.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
+import ast
 import multiprocessing
 import os
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize  # noqa: F401  # the first fit imports it; here it stays out of traced peaks
+import scipy.optimize  # noqa: F401  # a fit or sweep imports it; here it stays out of traced peaks
 import scipy.sparse as sp
 
 import asgc.experiments as experiments
@@ -25,7 +27,7 @@ from asgc import (
     run_method,
     spawn_seed,
 )
-from conftest import toy_dataset, traced_peak
+from conftest import fresh_python, toy_dataset, traced_peak
 
 
 def test_raw_method_equals_plain_logistic():
@@ -355,6 +357,38 @@ def test_k_sweep_rejects_empty_inputs():
         k_sweep(ds, ["bogus"], k_values=[1])
     with pytest.raises(ValueError, match="unknown method 'mystery'; expected one of"):
         k_sweep(ds, ["mystery"], k_values=[1])
+
+
+def test_a_sweep_imports_the_optimizer_before_its_first_fit():
+    # forked workers inherit the import, and no fit's time includes it, also at one job
+    script = """
+import sys
+import asgc.experiments as experiments
+from conftest import toy_dataset
+
+def loaded():
+    return "scipy.optimize" in sys.modules
+
+states = {"start": loaded()}
+ds = toy_dataset(n_per_block=20)
+fit = experiments.fit_logistic
+
+def first_fit_records(*args):
+    states.setdefault("first_fit", loaded())
+    return fit(*args)
+
+experiments.fit_logistic = first_fit_records
+try:
+    experiments.k_sweep(ds, [], [1])
+except ValueError:
+    states["bad_arguments"] = loaded()
+experiments.k_sweep(ds, ["raw"], [1], trials=1, jobs=1)
+print(states)
+"""
+    run = fresh_python(["-c", script], cwd=Path(__file__).parent)
+    assert run.returncode == 0, run.stderr
+    states = ast.literal_eval(run.stdout.splitlines()[-1])
+    assert states == {"start": False, "bad_arguments": False, "first_fit": True}
 
 
 def tr(dataset, method, acc, k=6, seed=0):

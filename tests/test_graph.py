@@ -2,15 +2,20 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from asgc import (
     Graph,
     GraphError,
+    asgc_filter,
     degrees,
     laplacian_quadratic_form,
     normalized_adjacency,
     propagate,
+    sgc_filter,
 )
+from asgc.filters import BLOCK_COLUMNS
+from asgc.graph import PropagationOperator
 from conftest import (
     dense_normalized_adjacency,
     path_graph,
@@ -139,6 +144,22 @@ def test_operator_holds_one_csr():
     op = normalized_adjacency(path_graph(5), True)
     assert [f.name for f in dataclasses.fields(op)] == ["csr"]
     assert op.matrix() is op.matrix()
+
+
+def test_no_hop_fetches_the_operator_through_matrix(monkeypatch):
+    # each hop multiplies by the operator's own CSR; matrix() is only for callers
+    calls = []
+    monkeypatch.setattr(PropagationOperator, "matrix", lambda op: calls.append(op) or op.csr)
+    rng = np.random.default_rng(3)
+    g = random_graph(30, 0.2, rng)
+    x = rng.standard_normal((30, BLOCK_COLUMNS + 4))  # two column blocks
+    for features in (x, sp.csr_matrix(x)):
+        sgc_filter(g, features, 3)
+        asgc_filter(g, features, 3)
+    laplacian_quadratic_form(g, x[:, 0])
+    assert calls == []
+    normalized_adjacency(g).matrix()
+    assert len(calls) == 1  # the counter itself sees a call
 
 
 def test_propagate_swaps_under_single_edge():
